@@ -53,6 +53,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import obs  # noqa: E402
 from repro import pipeline  # noqa: E402
+from repro.cache import kernels  # noqa: E402
 from repro.analysis.batch import (  # noqa: E402
     distribution_from_spec,
     machine_config_from_spec,
@@ -267,6 +268,7 @@ def measure(label: str) -> Dict:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "platform": platform.platform(),
+            "kernels": kernels.backend(),
         },
     }
 

@@ -1,27 +1,32 @@
 """Set-associative LRU cache simulation.
 
-Two equivalent interfaces are provided:
+The cache state is one ``(num_sets, ways)`` int64 array: each row
+holds a set's lines most recently used first, with -1 marking an empty
+slot, so line ids must be non-negative.  Two equivalent interfaces
+read and write it:
 
 * :meth:`LruCache.access` — one line at a time; the obvious reference
   implementation, used directly by unit and property tests.
-* :meth:`LruCache.simulate` — whole address streams at once.  It
-  exploits two exact identities to stay fast in Python: an access to
-  the line just accessed always hits (so consecutive duplicates can be
-  collapsed), and accesses to different sets never interact (so the
-  stream can be stably partitioned per set and each set replayed
-  independently).  Both paths produce bit-identical miss masks.
+* :meth:`LruCache.simulate` — whole address streams at once.  It runs
+  the compiled sequential replay of :mod:`repro.cache.kernels` when
+  that is available, and otherwise a Python loop that exploits two
+  exact identities: an access to the line just accessed always hits
+  (so consecutive duplicates can be collapsed), and accesses to
+  different sets never interact (so the stream can be stably
+  partitioned per set and each set replayed independently).  All paths
+  produce bit-identical miss masks.
 
 The cache is *stateful across calls*, so long streams can be fed in
-chunks.
+chunks, and the two interfaces can be interleaved on one instance.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
-from repro.cache import batchlru
+from repro.cache import kernels
 from repro.cache.config import CacheConfig
 
 
@@ -30,73 +35,51 @@ class LruCache:
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        self._sets: Dict[int, List[int]] = {}
-        self._last_line: Optional[int] = None
+        self._state = np.full((config.num_sets, config.ways), -1, dtype=np.int64)
 
     def reset(self) -> None:
         """Empty the cache."""
-        self._sets.clear()
-        self._last_line = None
+        self._state.fill(-1)
 
     # -- reference path ------------------------------------------------------
 
     def access(self, line: int) -> bool:
         """Access one line; returns True on hit."""
         line = int(line)
-        self._last_line = line
-        ways = self._sets.setdefault(line % self.config.num_sets, [])
-        try:
-            position = ways.index(line)
-        except ValueError:
-            if len(ways) >= self.config.ways:
-                ways.pop()
-            ways.insert(0, line)
-            return False
-        if position:
-            del ways[position]
-            ways.insert(0, line)
-        return True
+        if line < 0:
+            raise ValueError(f"line ids must be non-negative, got {line}")
+        row = self._state[line % self.config.num_sets]
+        ways = row.tolist()
+        hit = line in ways
+        position = ways.index(line) if hit else len(ways) - 1
+        row[1 : position + 1] = ways[:position]
+        row[0] = line
+        return hit
 
     # -- batched path ----------------------------------------------------------
 
-    def simulate(
-        self, lines: np.ndarray, *, force_scalar: bool = False
-    ) -> np.ndarray:
-        """Access a stream of lines; returns a per-access miss mask.
-
-        The replay normally runs through the chunk-parallel batch path
-        (:mod:`repro.cache.batchlru`); ``force_scalar`` pins the scalar
-        per-set reference loop instead, which equivalence tests compare
-        against bit-exactly.
-        """
-        lines = np.asarray(lines)
-        if lines.dtype != np.int32 and lines.dtype != np.int64:
-            lines = lines.astype(np.int64)
+    def simulate(self, lines: np.ndarray) -> np.ndarray:
+        """Access a stream of lines; returns a per-access miss mask."""
+        lines = np.ascontiguousarray(lines, dtype=np.int64)
+        if lines.ndim != 1:
+            raise ValueError(f"expected a 1-D line stream, got shape {lines.shape}")
         n = len(lines)
-        misses = np.zeros(n, dtype=bool)
         if n == 0:
-            return misses
+            return np.zeros(0, dtype=bool)
+        if int(lines.min()) < 0:
+            raise ValueError("line ids must be non-negative")
+        replayed = kernels.lru_replay(lines, self._state)
+        if replayed is not None:
+            return replayed
 
+        # -- Python reference replay -----------------------------------------
         # Collapse consecutive duplicates: repeats always hit.
         keep = np.empty(n, dtype=bool)
-        keep[0] = self._last_line is None or lines[0] != self._last_line
+        keep[0] = True
         np.not_equal(lines[1:], lines[:-1], out=keep[1:])
         positions = np.flatnonzero(keep)
-        self._last_line = int(lines[-1])
-        if len(positions) == 0:
-            return misses
         deduped = lines[positions]
 
-        if not force_scalar:
-            replayed = batchlru.replay(
-                deduped, self.config.num_sets, self.config.ways, self._sets
-            )
-            if replayed is not None:
-                deduped_misses, self._sets = replayed
-                misses[positions] = deduped_misses
-                return misses
-
-        # -- scalar reference replay ---------------------------------------
         # Stable partition by set; each set's subsequence keeps its order.
         sets = deduped % self.config.num_sets
         order = np.argsort(sets, kind="stable")
@@ -108,9 +91,9 @@ class LruCache:
         deduped_misses = np.zeros(len(positions), dtype=bool)
         max_ways = self.config.ways
         for start, end in zip(starts, ends):
-            indices = order[start:end]
-            ways = self._sets.setdefault(int(sorted_sets[start]), [])
-            for index in indices:
+            row = self._state[int(sorted_sets[start])]
+            ways = [held for held in row.tolist() if held >= 0]
+            for index in order[start:end]:
                 line = int(deduped[index])
                 try:
                     position = ways.index(line)
@@ -123,10 +106,17 @@ class LruCache:
                     if position:
                         del ways[position]
                         ways.insert(0, line)
+            row[: len(ways)] = ways
+            row[len(ways) :] = -1
 
+        misses = np.zeros(n, dtype=bool)
         misses[positions] = deduped_misses
         return misses
 
     def contents(self) -> Dict[int, List[int]]:
         """Snapshot of each non-empty set, MRU first (for tests)."""
-        return {index: list(ways) for index, ways in self._sets.items() if ways}
+        return {
+            index: [line for line in row if line >= 0]
+            for index, row in enumerate(self._state.tolist())
+            if row[0] >= 0
+        }

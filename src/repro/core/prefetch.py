@@ -22,6 +22,7 @@ from typing import Deque, Dict, Iterable
 
 import numpy as np
 
+from repro.cache import kernels
 from repro.errors import ConfigurationError
 
 
@@ -100,6 +101,11 @@ def _pipeline_cycles(
     # miss/hit branch still tests ``count``: a miss with a zero-cost
     # transfer must take the latency path.
     costs = misses * transfer
+    compiled = kernels.pipeline_cycles(misses, costs, fifo_depth, memory_latency)
+    if compiled is not None:
+        return compiled
+
+    # Python reference loop (the compiled kernel runs the same operations).
     retires: Deque[float] = deque()
     issue = -1.0
     bus_free = 0.0

@@ -3,7 +3,7 @@
 The fragment→texel→cache hot path is vectorized end to end: raster
 emits :class:`~repro.raster.fragments.FragmentBuffer` columns with
 array passes, the trilinear filter translates whole columns at once,
-and the LRU replay runs as chunked array phases.  A Python-level
+and the LRU replay runs in a compiled kernel.  A Python-level
 ``for``/``while`` loop over those columns reintroduces exactly the
 per-fragment interpreter cost the batch core removed — silently, since
 the result stays bit-identical.  These rules make that regression loud
@@ -25,7 +25,6 @@ VECTORIZED_SCOPES: Tuple[str, ...] = (
     "repro.raster.batch",
     "repro.texture.filtering",
     "repro.cache.stream",
-    "repro.cache.batchlru",
     "repro.texture.pages",
     "repro.workloads.vt",
 )

@@ -20,6 +20,14 @@ def _reset_observability():
     obs.reset()
 
 
+@pytest.fixture
+def python_kernels(monkeypatch):
+    """Run on the Python fallback, as if the compiled kernels were unavailable."""
+    from repro.cache import kernels
+
+    monkeypatch.setattr(kernels, "_lib", None)
+
+
 def quad(x0: float, y0: float, size: float, texture: int = 0, u0: float = 0.0,
          v0: float = 0.0, texel_scale: float = 1.0) -> list:
     """Two triangles forming an axis-aligned square, shared diagonal."""

@@ -5,8 +5,10 @@ working arrays stay cache-resident.  Chunk boundaries are pure
 implementation detail: wherever the split lands, the output must be
 bit-identical to the scalar reference and to any other split.  These
 tests randomize the split points (seeded) and assert exactly that for
-the raster scan converter, the fused texture address pass, and the
-chunked LRU replay.
+the raster scan converter and the fused texture address pass.  The
+LRU replay is stateful across calls, so the same holds for where a
+stream is split between ``simulate`` calls, on the compiled kernel and
+on the Python loop alike.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cache import batchlru
+from repro.cache import kernels
 from repro.cache.config import CacheConfig
 from repro.cache.lru import LruCache
 from repro.raster import batch as raster_batch
@@ -103,36 +105,43 @@ def _config(num_sets: int, ways: int) -> CacheConfig:
     return CacheConfig(total_bytes=num_sets * ways * 64, ways=ways)
 
 
+def _split_replay(cache: LruCache, lines: np.ndarray, rng) -> np.ndarray:
+    """Feed ``lines`` to ``cache`` in randomly sized ``simulate`` calls."""
+    cuts = np.sort(rng.integers(0, len(lines) + 1, size=int(rng.integers(0, 8))))
+    edges = np.concatenate(([0], cuts, [len(lines)]))
+    return np.concatenate([cache.simulate(lines[a:b]) for a, b in zip(edges, edges[1:])])
+
+
+def _python_replay(cache: LruCache, lines: np.ndarray, rng, monkeypatch) -> np.ndarray:
+    with monkeypatch.context() as patched:
+        patched.setattr(kernels, "_lib", None)
+        return _split_replay(cache, lines, rng)
+
+
 @pytest.mark.parametrize("num_sets,ways", [(1, 2), (3, 1), (4, 4), (64, 2)])
 def test_lru_replay_matches_scalar_under_random_chunking(
     monkeypatch, num_sets, ways
 ):
+    """Kernel, Python loop and ``access`` agree however calls are split."""
     rng = np.random.default_rng(603 + num_sets * 8 + ways)
-    for chunk in (3, 17, int(rng.integers(32, 4096)), batchlru.CHUNK_TARGET_LEN):
-        monkeypatch.setattr(batchlru, "CHUNK_TARGET_LEN", chunk)
+    config = _config(num_sets, ways)
+    compiled, python, reference = LruCache(config), LruCache(config), LruCache(config)
+    for _ in range(4):
         lines = _random_stream(rng, int(rng.integers(1, 6000)))
-        config = _config(num_sets, ways)
-        batched, scalar = LruCache(config), LruCache(config)
-        assert np.array_equal(
-            batched.simulate(lines),
-            scalar.simulate(lines, force_scalar=True),
-        )
-        assert batched.contents() == scalar.contents()
+        expected = np.array([not reference.access(line) for line in lines])
+        assert np.array_equal(_split_replay(compiled, lines, rng), expected)
+        assert np.array_equal(_python_replay(python, lines, rng, monkeypatch), expected)
+        assert compiled.contents() == python.contents() == reference.contents()
 
 
 def test_lru_replay_is_call_split_invariant(monkeypatch):
     """Feeding one stream in random slices equals one whole-stream call."""
     rng = np.random.default_rng(604)
-    monkeypatch.setattr(batchlru, "CHUNK_TARGET_LEN", 64)
     lines = _random_stream(rng, 5000)
     config = _config(8, 4)
-    whole_cache, split_cache = LruCache(config), LruCache(config)
+    whole_cache, split_cache, python_cache = (LruCache(config) for _ in range(3))
     whole = whole_cache.simulate(lines)
 
-    cuts = np.sort(rng.integers(0, len(lines) + 1, size=6))
-    edges = np.concatenate(([0], cuts, [len(lines)]))
-    pieces = [
-        split_cache.simulate(lines[a:b]) for a, b in zip(edges, edges[1:]) if b > a
-    ]
-    assert np.array_equal(np.concatenate(pieces), whole)
-    assert split_cache.contents() == whole_cache.contents()
+    assert np.array_equal(_split_replay(split_cache, lines, rng), whole)
+    assert np.array_equal(_python_replay(python_cache, lines, rng, monkeypatch), whole)
+    assert split_cache.contents() == whole_cache.contents() == python_cache.contents()

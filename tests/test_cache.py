@@ -75,74 +75,106 @@ class TestLruReference:
         assert cache.access(5) is False
 
 
-class TestLruBatched:
-    def test_matches_reference_on_simple_stream(self):
-        stream = np.array([0, 1, 0, 2, 64, 0, 1, 1, 1, 2])
-        batched = LruCache(CacheConfig())
-        reference = LruCache(CacheConfig())
-        got = batched.simulate(stream)
-        want = np.array([not reference.access(line) for line in stream])
-        assert (got == want).all()
+def _batched_checks():
+    """The batched-replay checks, built afresh for each backend class.
 
-    def test_empty_stream(self):
-        cache = LruCache(CacheConfig())
-        assert cache.simulate(np.array([], dtype=np.int64)).size == 0
+    Hypothesis ties each wrapped test function to one test class, so
+    every backend needs its own copy of the functions.
+    """
 
-    def test_statefulness_across_chunks(self):
-        stream = np.arange(100) % 7
-        whole = LruCache(tiny_config(sets=2, ways=2)).simulate(stream)
-        chunked_cache = LruCache(tiny_config(sets=2, ways=2))
-        parts = [chunked_cache.simulate(chunk) for chunk in np.array_split(stream, 7)]
-        assert (np.concatenate(parts) == whole).all()
+    class BatchedChecks:
+        def test_matches_reference_on_simple_stream(self):
+            stream = np.array([0, 1, 0, 2, 64, 0, 1, 1, 1, 2])
+            batched = LruCache(CacheConfig())
+            reference = LruCache(CacheConfig())
+            got = batched.simulate(stream)
+            want = np.array([not reference.access(line) for line in stream])
+            assert (got == want).all()
 
-    def test_consecutive_duplicates_always_hit(self):
-        cache = LruCache(tiny_config())
-        misses = cache.simulate(np.array([9, 9, 9, 9]))
-        assert misses.tolist() == [True, False, False, False]
+        def test_empty_stream(self):
+            cache = LruCache(CacheConfig())
+            assert cache.simulate(np.array([], dtype=np.int64)).size == 0
 
-    def test_duplicate_hit_survives_chunk_boundary(self):
-        cache = LruCache(tiny_config(sets=1, ways=1))
-        first = cache.simulate(np.array([3]))
-        second = cache.simulate(np.array([3, 3]))
-        assert first.tolist() == [True]
-        assert second.tolist() == [False, False]
+        def test_statefulness_across_chunks(self):
+            stream = np.arange(100) % 7
+            whole = LruCache(tiny_config(sets=2, ways=2)).simulate(stream)
+            chunked_cache = LruCache(tiny_config(sets=2, ways=2))
+            parts = [chunked_cache.simulate(chunk) for chunk in np.array_split(stream, 7)]
+            assert (np.concatenate(parts) == whole).all()
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        stream=st.lists(st.integers(min_value=0, max_value=40), min_size=0, max_size=300),
-        sets=st.sampled_from([1, 2, 4, 8]),
-        ways=st.integers(min_value=1, max_value=4),
-    )
-    def test_property_batched_equals_reference(self, stream, sets, ways):
-        """The vectorised replay is bit-identical to the stepwise LRU."""
-        config = tiny_config(sets=sets, ways=ways)
-        stream = np.asarray(stream, dtype=np.int64)
-        batched = LruCache(config).simulate(stream)
-        reference = LruCache(config)
-        expected = np.array(
-            [not reference.access(line) for line in stream], dtype=bool
+        def test_consecutive_duplicates_always_hit(self):
+            cache = LruCache(tiny_config())
+            misses = cache.simulate(np.array([9, 9, 9, 9]))
+            assert misses.tolist() == [True, False, False, False]
+
+        def test_duplicate_hit_survives_chunk_boundary(self):
+            cache = LruCache(tiny_config(sets=1, ways=1))
+            first = cache.simulate(np.array([3]))
+            second = cache.simulate(np.array([3, 3]))
+            assert first.tolist() == [True]
+            assert second.tolist() == [False, False]
+
+        @settings(max_examples=60, deadline=None)
+        @given(
+            stream=st.lists(st.integers(min_value=0, max_value=40), min_size=0, max_size=300),
+            sets=st.sampled_from([1, 2, 4, 8]),
+            ways=st.integers(min_value=1, max_value=4),
         )
-        assert (batched == expected).all()
+        def test_property_batched_equals_reference(self, stream, sets, ways):
+            """The batched replay is bit-identical to the stepwise LRU."""
+            config = tiny_config(sets=sets, ways=ways)
+            stream = np.asarray(stream, dtype=np.int64)
+            batched = LruCache(config).simulate(stream)
+            reference = LruCache(config)
+            expected = np.array(
+                [not reference.access(line) for line in stream], dtype=bool
+            )
+            assert (batched == expected).all()
 
-    @settings(max_examples=30, deadline=None)
-    @given(
-        stream=st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=200),
-        cut=st.integers(min_value=0, max_value=200),
-    )
-    def test_property_chunking_is_transparent(self, stream, cut):
-        stream = np.asarray(stream, dtype=np.int64)
-        cut = min(cut, len(stream))
-        config = tiny_config(sets=4, ways=2)
-        whole = LruCache(config).simulate(stream)
-        cache = LruCache(config)
-        split = np.concatenate([cache.simulate(stream[:cut]), cache.simulate(stream[cut:])])
-        assert (split == whole).all()
+        @settings(max_examples=30, deadline=None)
+        @given(
+            stream=st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=200),
+            cut=st.integers(min_value=0, max_value=200),
+        )
+        def test_property_chunking_is_transparent(self, stream, cut):
+            stream = np.asarray(stream, dtype=np.int64)
+            cut = min(cut, len(stream))
+            config = tiny_config(sets=4, ways=2)
+            whole = LruCache(config).simulate(stream)
+            cache = LruCache(config)
+            split = np.concatenate([cache.simulate(stream[:cut]), cache.simulate(stream[cut:])])
+            assert (split == whole).all()
 
-    def test_miss_count_bounded_by_unique_lines_with_huge_cache(self):
-        config = CacheConfig(total_bytes=1 << 20, line_bytes=64, ways=4)
-        stream = np.random.default_rng(0).integers(0, 500, size=5000)
-        misses = LruCache(config).simulate(stream)
-        assert misses.sum() == len(np.unique(stream))
+        def test_miss_count_bounded_by_unique_lines_with_huge_cache(self):
+            config = CacheConfig(total_bytes=1 << 20, line_bytes=64, ways=4)
+            stream = np.random.default_rng(0).integers(0, 500, size=5000)
+            misses = LruCache(config).simulate(stream)
+            assert misses.sum() == len(np.unique(stream))
+
+    return BatchedChecks
+
+
+class TestLruBatched(_batched_checks()):
+    """Batched replay on the default backend (the compiled kernel when built)."""
+
+
+@pytest.mark.usefixtures("python_kernels")
+class TestLruBatchedPythonBackend(_batched_checks()):
+    """The batched checks again on the Python fallback replay."""
+
+
+class TestLruContract:
+    @pytest.mark.parametrize("backend", ["default", "python"])
+    def test_negative_lines_rejected(self, request, backend):
+        if backend == "python":
+            request.getfixturevalue("python_kernels")
+        cache = LruCache(tiny_config())
+        cache.simulate(np.array([4, 5]))
+        with pytest.raises(ValueError, match="non-negative"):
+            cache.simulate(np.array([1, -1, 2]))
+        assert cache.contents() == {0: [4], 1: [5]}
+        with pytest.raises(ValueError, match="non-negative"):
+            cache.access(-3)
 
 
 class TestModels:

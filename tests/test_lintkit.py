@@ -542,7 +542,7 @@ def test_repro501_flags_while_condition_on_column():
             while index < len(buf.level):
                 index += 1
     """
-    assert rule_ids(src, module="repro.cache.batchlru") == ["REPRO501"]
+    assert rule_ids(src, module="repro.texture.pages") == ["REPRO501"]
 
 
 def test_repro501_allows_chunk_and_setup_loops():
