@@ -44,7 +44,7 @@ import resource
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -217,6 +217,22 @@ def _vt_point() -> Dict:
     return metrics
 
 
+def counter_total(counters: Dict[str, Any], series: str) -> Optional[float]:
+    """``series`` summed over its unlabeled value and every labeled child.
+
+    ``counters`` is the ``"counters"`` part of a registry snapshot.
+    ``simulate_machine`` publishes the cache and bus series only on
+    ``scene=``-labeled children, so the unlabeled value alone reads 0.
+    ``None`` when the series was never published.
+    """
+    values = [
+        float(value)
+        for name, value in counters.items()
+        if name == series or name.startswith(series + "{")
+    ]
+    return sum(values) if values else None
+
+
 def measure(label: str) -> Dict:
     """Run every pinned workload; returns the snapshot document."""
     workloads: Dict[str, Dict] = {}
@@ -237,11 +253,11 @@ def measure(label: str) -> Dict:
     )
     total_wall = time.perf_counter() - total_started
 
-    registry = obs.registry()
-    cache_totals: Dict[str, Optional[float]] = {}
-    for series in ("cache.fragments", "cache.line_accesses", "cache.misses"):
-        metric = registry.get(series)
-        cache_totals[series] = metric.value if metric is not None else None
+    counters = obs.registry().snapshot()["counters"]
+    cache_totals: Dict[str, Optional[float]] = {
+        series: counter_total(counters, series)
+        for series in ("cache.fragments", "cache.line_accesses", "cache.misses")
+    }
     accesses = cache_totals["cache.line_accesses"]
     misses = cache_totals["cache.misses"]
     cache_totals["cache.hit_rate"] = (

@@ -1,16 +1,20 @@
-"""Compiled kernels for the two sequential recurrences of the hot path.
+"""Compiled kernels for the sequential parts of the hot path.
 
 ``_kernels.c`` holds the set-associative LRU replay behind
-:meth:`repro.cache.lru.LruCache.simulate` and the prefetch pipeline
-recurrence behind :func:`repro.core.prefetch.simulate_prefetch_pipeline`.
+:meth:`repro.cache.lru.LruCache.simulate`, the prefetch pipeline
+recurrence behind :func:`repro.core.prefetch.simulate_prefetch_pipeline`
+and the finite-FIFO machine behind
+:func:`repro.core.distributor.run_event_machine`, which replays the
+event kernel's schedule (``repro.sim``) event for event.
 On the first kernel call it is compiled with the system ``cc`` into
 ``$XDG_CACHE_HOME/repro/kernels`` (default ``~/.cache/repro/kernels``),
 named by a hash of the source and flags, and loaded through ``ctypes``.
 
 The backend follows only from what the code can observe: when no
 compiler is found, or the build or load fails, every entry point
-returns ``None`` and the caller runs its Python loop, which is also
-the bit-exact reference the tests compare against.  The resolved
+returns ``None`` and the caller runs its Python code (a loop, or the
+event kernel for the FIFO machine), which is also the bit-exact
+reference the tests compare against.  The resolved
 backend is published as the gauge ``cache.kernel_backend`` (1 = C,
 0 = Python).
 """
@@ -25,7 +29,7 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -105,6 +109,12 @@ def _load() -> Optional[ctypes.CDLL]:
         _I64P, _F64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_double, _F64P,
     ]
     lib.pipeline_cycles.restype = ctypes.c_double
+    lib.fifo_machine.argtypes = [
+        _I64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_double, _F64P, ctypes.c_int64,
+        _F64P, _F64P, _I64P, _I64P, _F64P, _F64P,
+    ]
+    lib.fifo_machine.restype = ctypes.c_int64
     return lib
 
 
@@ -179,4 +189,97 @@ def pipeline_cycles(
             float(memory_latency),
             ring.ctypes.data_as(_F64P),
         )
+    )
+
+
+class FifoRun(NamedTuple):
+    """One frame of the finite-FIFO machine, as :func:`fifo_machine` returns it."""
+
+    #: Frame time: the time of the last event.
+    cycles: float
+    #: Per-node time its last triangle completed.
+    finish: np.ndarray
+    #: Number of puts that blocked the distributor.
+    blocks: int
+    #: Cycles the distributor spent blocked, in total and per node.
+    blocked_cycles: float
+    blocked_per_node: np.ndarray
+    #: Per-node peak FIFO occupancy (int64), END items included.
+    high_water: np.ndarray
+    #: Per-node texels and busy cycles of the texture bus.
+    bus_texels: np.ndarray
+    bus_cycles: np.ndarray
+
+
+def fifo_machine(
+    stream: np.ndarray,
+    num_processors: int,
+    capacity: int,
+    setup_cycles: int,
+    bus_ratio: float,
+    release: Optional[np.ndarray] = None,
+    blocked_cycles: float = 0.0,
+    blocked_per_node: Optional[Sequence[float]] = None,
+) -> Optional[FifoRun]:
+    """The finite-FIFO machine in C; ``None`` when the kernels are unavailable.
+
+    ``stream`` is a C-contiguous ``(M, 4)`` int64 array of
+    ``(triangle, node, pixels, texels)`` rows in submission order and
+    ``capacity >= 1``.  ``blocked_cycles`` and ``blocked_per_node``
+    seed the blocked-time accumulators.  Raises ``IndexError`` for a
+    node id outside ``[0, num_processors)`` or a triangle id outside
+    ``release``.
+    """
+    lib = library()
+    if lib is None:
+        return None
+    if (
+        stream.dtype != np.int64
+        or stream.ndim != 2
+        or stream.shape[1] != 4
+        or not stream.flags.c_contiguous
+    ):
+        raise ValueError("fifo_machine needs a C-contiguous (M, 4) int64 stream")
+    if capacity < 1:
+        raise ValueError(f"fifo_machine needs capacity >= 1, got {capacity}")
+    n = num_processors
+    blocked = np.zeros(n)
+    if blocked_per_node is not None:
+        blocked = np.array(blocked_per_node, dtype=np.float64)
+        if blocked.shape != (n,):
+            raise ValueError("blocked_per_node needs one entry per node")
+    if release is not None:
+        release = np.ascontiguousarray(release, dtype=np.float64).reshape(-1)
+    finish = np.zeros(n)
+    high_water = np.zeros(n, dtype=np.int64)
+    bus_texels = np.zeros(n, dtype=np.int64)
+    bus_cycles = np.zeros(n)
+    totals = np.array([0.0, blocked_cycles])
+    blocks = lib.fifo_machine(
+        stream.ctypes.data_as(_I64P),
+        len(stream),
+        n,
+        # A FIFO never holds more than its node's entries plus END.
+        min(capacity, len(stream) + 1),
+        setup_cycles,
+        float(bus_ratio),
+        None if release is None else release.ctypes.data_as(_F64P),
+        0 if release is None else len(release),
+        finish.ctypes.data_as(_F64P),
+        blocked.ctypes.data_as(_F64P),
+        high_water.ctypes.data_as(_I64P),
+        bus_texels.ctypes.data_as(_I64P),
+        bus_cycles.ctypes.data_as(_F64P),
+        totals.ctypes.data_as(_F64P),
+    )
+    if blocks == -2:
+        raise MemoryError("fifo_machine could not allocate its work arrays")
+    if blocks == -1:
+        raise IndexError(
+            "stream has a node id outside [0, num_processors) "
+            "or a triangle id outside the release array"
+        )
+    return FifoRun(
+        float(totals[0]), finish, int(blocks), float(totals[1]), blocked,
+        high_water, bus_texels, bus_cycles,
     )

@@ -13,12 +13,14 @@ carries a release time the distributor must wait for.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.bus.bus import BusModel
+from repro.cache import kernels
 from repro.core.node import triangle_service_time
+from repro.errors import ConfigurationError
 from repro.sim.fifo import BoundedFifo
 from repro.sim.kernel import ProcessGenerator, Simulator
 
@@ -101,25 +103,36 @@ def interleave_stream(
     triangles: List[np.ndarray],
     pixels: List[np.ndarray],
     texels: List[np.ndarray],
-) -> List[StreamEntry]:
+) -> np.ndarray:
     """Merge per-node work lists back into global submission order.
 
-    Produces the distributor's stream of ``(triangle, node, pixels,
-    texels)`` entries, ordered by triangle id and, within one triangle,
-    by node id — the order a broadcast distribution network would emit.
+    Produces the distributor's stream as an ``(M, 4)`` int64 array of
+    ``(triangle, node, pixels, texels)`` rows, ordered by triangle id
+    and, within one triangle, by node id — the order a broadcast
+    distribution network would emit.
     """
-    entries: List[StreamEntry] = []
-    for node, ids in enumerate(triangles):
-        px = pixels[node]
-        tx = texels[node]
-        for slot, tri in enumerate(ids.tolist()):
-            entries.append((tri, node, int(px[slot]), int(tx[slot])))
-    entries.sort()
+    counts = [len(ids) for ids in triangles]
+    if sum(counts) == 0:
+        return np.empty((0, 4), dtype=np.int64)
+    triangle = np.concatenate(triangles).astype(np.int64, copy=False)
+    node = np.repeat(np.arange(len(triangles), dtype=np.int64), counts)
+    columns = (triangle, node, np.concatenate(pixels), np.concatenate(texels))
+    # (triangle, node) is unique, so this is the order of sorted rows.
+    order = np.lexsort((node, triangle))
+    return np.stack(columns, axis=1).astype(np.int64, copy=False)[order]
+
+
+def _stream_array(stream: Union[np.ndarray, Sequence[StreamEntry]]) -> np.ndarray:
+    entries = np.ascontiguousarray(stream, dtype=np.int64)
+    if entries.size == 0:
+        return entries.reshape(0, 4)
+    if entries.ndim != 2 or entries.shape[1] != 4:
+        raise ValueError("stream entries must be (triangle, node, pixels, texels)")
     return entries
 
 
 def run_event_machine(
-    stream: Sequence[StreamEntry],
+    stream: Union[np.ndarray, Sequence[StreamEntry]],
     num_processors: int,
     fifo_capacity: int,
     setup_cycles: int,
@@ -130,14 +143,62 @@ def run_event_machine(
 ) -> Tuple[float, List[float]]:
     """Simulate the machine with finite FIFOs; returns (cycles, per-node finish).
 
-    ``release`` (per-triangle geometry release times) throttles the
-    distributor when a finite-rate geometry stage is modelled.
-    ``stats`` (optional dict) receives head-of-line accounting:
+    ``stream`` is :func:`interleave_stream`'s array or any sequence of
+    ``(triangle, node, pixels, texels)`` entries.  ``release``
+    (per-triangle geometry release times) throttles the distributor
+    when a finite-rate geometry stage is modelled.  ``stats``
+    (optional dict) receives head-of-line accounting:
     ``blocked_cycles``, ``blocked_per_node``, ``fifo_high_water`` and
-    aggregate ``bus_totals``.  ``recorder`` (optional event recorder)
-    is threaded into the kernel, the FIFOs and the node processes;
-    simulated timing is identical with or without it.
+    aggregate ``bus_totals``.
+
+    Without a ``recorder`` the compiled FIFO machine
+    (:func:`repro.cache.kernels.fifo_machine`) runs when it is
+    available; it replays the event kernel's schedule exactly, so
+    every return value and stats entry is bit-identical.  With a
+    ``recorder`` (or without the compiled kernels) the event kernel
+    runs, with the recorder threaded into the kernel, the FIFOs and
+    the node processes; simulated timing is identical either way.
     """
+    if fifo_capacity < 1:
+        raise ConfigurationError(f"fifo capacity must be >= 1, got {fifo_capacity}")
+    if bus_ratio <= 0:
+        raise ConfigurationError(f"bus bandwidth must be positive, got {bus_ratio}")
+    entries = _stream_array(stream)
+    if len(entries):
+        nodes = entries[:, 1]
+        if nodes.min() < 0 or nodes.max() >= num_processors:
+            raise IndexError(f"stream node ids must lie in [0, {num_processors})")
+        if release is not None and (
+            entries[:, 0].min() < 0 or entries[:, 0].max() >= len(release)
+        ):
+            raise IndexError("stream triangle ids must index the release array")
+    if stats is None:
+        stats = {}
+    blocked_per_node = stats.setdefault("blocked_per_node", [0.0] * num_processors)
+    run = None
+    if recorder is None:
+        run = kernels.fifo_machine(
+            entries,
+            num_processors,
+            fifo_capacity,
+            setup_cycles,
+            bus_ratio,
+            release=release,
+            blocked_cycles=stats.get("blocked_cycles", 0.0),
+            blocked_per_node=blocked_per_node,
+        )
+    if run is not None:
+        if run.blocks:
+            stats["blocked_cycles"] = run.blocked_cycles
+        blocked_per_node[:] = run.blocked_per_node.tolist()
+        stats["fifo_high_water"] = run.high_water.tolist()
+        stats["bus_totals"] = {
+            "transfers": len(entries),
+            "texels": sum(run.bus_texels.tolist()),
+            "busy_cycles": sum(run.bus_cycles.tolist()),
+        }
+        return run.cycles, run.finish.tolist()
+
     sim = Simulator(recorder=recorder)
     fifos = [
         BoundedFifo(sim, fifo_capacity, name=f"tri-fifo-{n}", recorder=recorder)
@@ -152,11 +213,9 @@ def run_event_machine(
         )
         for n in range(num_processors)
     ]
-    if stats is None:
-        stats = {}
     processes.append(
         sim.process(
-            _distributor_process(sim, fifos, stream, release, stats),
+            _distributor_process(sim, fifos, entries.tolist(), release, stats),
             name="distributor",
         )
     )

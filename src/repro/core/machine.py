@@ -4,10 +4,13 @@ Gluing the substrates together: rasterise the scene once, route
 triangles through the distribution, replay each node's fragment stream
 through its private cache, then run the timing model.  Two timing paths
 exist — an exact fast path for machines whose triangle FIFO never fills
-(the paper's default 10 000-entry buffer) and the event-driven path for
-the finite-buffer study — and they agree cycle for cycle on the
+(the paper's default 10 000-entry buffer) and the finite-FIFO machine
+for the finite-buffer study — and they agree cycle for cycle on the
 never-full case (``timing_mode`` lets tests force either path to
-enforce that claim).
+enforce that claim).  The finite-FIFO machine
+(:func:`repro.core.distributor.run_event_machine`) runs compiled when
+the kernels are available and nothing is being traced, and on the
+event kernel (``repro.sim``) otherwise; both give identical results.
 
 Everything upstream of the timing model is a pipeline artifact
 (:mod:`repro.pipeline`): ``build_routed_work`` memoizes the routing
@@ -59,8 +62,8 @@ def simulate_machine(
     ``timing_mode`` selects the timing path: ``"auto"`` (the default)
     takes the exact fast path whenever the FIFO can never fill,
     ``"fast"`` forces it (only exact on a never-full machine) and
-    ``"event"`` forces the event-driven path — the two must agree
-    cycle for cycle on a never-full machine.
+    ``"event"`` forces the finite-FIFO machine, on either backend —
+    the two must agree cycle for cycle on a never-full machine.
     """
     if timing_mode not in TIMING_MODES:
         raise ConfigurationError(

@@ -202,11 +202,11 @@ class TestEventInstrumentation:
         pixels = [np.array([10, 30]), np.array([20, 40])]
         texels = [np.array([0, 0]), np.array([16, 0])]
         stream = interleave_stream(triangles, pixels, texels)
-        assert stream == [
-            (0, 0, 10, 0),
-            (0, 1, 20, 16),
-            (1, 1, 40, 0),
-            (2, 0, 30, 0),
+        assert stream.tolist() == [
+            [0, 0, 10, 0],
+            [0, 1, 20, 16],
+            [1, 1, 40, 0],
+            [2, 0, 30, 0],
         ]
 
     def test_small_fifo_reports_head_of_line_blocking(self, flat_scene):
@@ -222,3 +222,18 @@ class TestEventInstrumentation:
         config = MachineConfig(distribution=BlockInterleaved(4, 8), cache="perfect")
         result = simulate_machine(flat_scene, config)
         assert "distributor_blocked_cycles" not in result.extras
+
+
+@pytest.mark.usefixtures("python_kernels")
+class TestEventPathEquivalencePythonBackend(TestEventPathEquivalence):
+    """The equivalence checks on the event kernel instead of the compiled machine."""
+
+
+@pytest.mark.usefixtures("python_kernels")
+class TestTimingModesPythonBackend(TestTimingModes):
+    """The timing-mode checks on the event kernel instead of the compiled machine."""
+
+
+@pytest.mark.usefixtures("python_kernels")
+class TestEventInstrumentationPythonBackend(TestEventInstrumentation):
+    """The instrumentation checks on the event kernel instead of the compiled machine."""

@@ -122,3 +122,8 @@ class TestGeometryBoundMachine:
             MachineConfig(distribution=SingleProcessor(), geometry_engines=-1)
         with pytest.raises(ConfigurationError):
             MachineConfig(distribution=SingleProcessor(), geometry_cycles=-5)
+
+
+@pytest.mark.usefixtures("python_kernels")
+class TestGeometryBoundMachinePythonBackend(TestGeometryBoundMachine):
+    """The geometry-bound checks on the event kernel instead of the compiled machine."""

@@ -369,3 +369,14 @@ class TestTracingIsFree:
         elapsed = time.perf_counter() - started
         # Generous bound: even slow CI should do 100k no-ops in < 0.5 s.
         assert elapsed < 0.5
+
+
+@pytest.mark.usefixtures("python_kernels")
+class TestTracingIsFreePythonBackend(TestTracingIsFree):
+    """Tracing checks with the event kernel on both sides.
+
+    On the default backend the untraced runs take the compiled FIFO
+    machine, so ``test_event_machine_identical_under_recorder`` there
+    pits it against the traced event kernel; here both runs use the
+    event kernel.
+    """
