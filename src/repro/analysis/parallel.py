@@ -63,8 +63,8 @@ def share_artifacts() -> None:
     environment so child processes inherit it) and flushes every
     disk-eligible memory entry, so workers hydrate already-computed
     stage prefixes instead of rebuilding them.  Called before any
-    process pool is created — both by :func:`run_tasks` and by the
-    experiment job service's supervised pool.
+    process pool is created — both by :func:`run_tasks` and by each
+    local worker of the experiment job service.
     """
     from repro import pipeline
 

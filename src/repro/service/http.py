@@ -17,7 +17,8 @@ Endpoints (all JSON):
 * ``GET /searches`` / ``GET /searches/<id>`` — search progress: state
   (``running``/``done``/``failed``), trial count, the archived report
   key and the winning configuration.
-* ``GET /healthz`` — liveness: status, workers, dispatcher threads.
+* ``GET /healthz`` — liveness: status, workers, and the live local
+  worker + reaper threads (``dispatchers``).
 * ``GET /metrics`` — queue depth (total and per tenant), jobs by
   state, retry/timeout/requeue/lease counters, result-store hit rate,
   per-stage pipeline stats, and the ``obs`` metrics-registry snapshot.
@@ -37,7 +38,7 @@ Worker-fleet endpoints (the lease protocol remote workers pull with):
 * ``GET /leases`` — active leases (introspection).
 
 The server is a ``ThreadingHTTPServer`` so slow pollers never block
-submissions; all actual work happens in the scheduler's dispatchers
+submissions; all actual work happens in the scheduler's local workers
 and the remote workers.  A client dropping the connection mid-response
 (``BrokenPipeError``/``ConnectionResetError``) is counted into the
 ``service.http.disconnects`` metric instead of spraying tracebacks.

@@ -23,7 +23,8 @@ the service coalesces them into one execution and serves repeats from
 the content-addressed result store.
 
 :func:`execute_payload` is the module-level (picklable) function the
-supervised worker pool runs; it revalidates the payload in the worker
+service's workers run (in a local worker's child process or on a
+remote worker node); it revalidates the payload in the worker
 and returns a JSON-serializable result payload.
 """
 
@@ -303,8 +304,9 @@ def _integer(payload: Dict, name: str, default: int, minimum: Optional[int]) -> 
 class Job:
     """One submitted request moving through the service's state machine.
 
-    ``queued → running → done | failed | timed-out``; a pool crash or
-    an expired worker lease sends a running job back to ``queued``.
+    ``queued → running → done | failed | timed-out``; an attempt lost
+    with its worker (a dead local child, an expired remote lease) sends
+    a running job back to ``queued``.
     Mutations happen under the scheduler's lock; readers get consistent
     JSON via :meth:`to_json`.
 
@@ -377,7 +379,7 @@ class Job:
 
 
 def execute_payload(payload: Dict) -> Dict:
-    """Run one job payload; the function the worker pool executes.
+    """Run one job payload; the function every service worker executes.
 
     Module-level and driven by a plain dict so it pickles into worker
     processes; revalidates there (workers import the same registries).

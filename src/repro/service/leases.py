@@ -1,11 +1,13 @@
-"""Work leases for remote workers pulling jobs over HTTP.
+"""Work leases: every worker's claim on the job it is running.
 
-A worker that pulls a job gets a :class:`Lease`: a renewable claim on
-that job with a deadline.  While the worker keeps heartbeating, the
-claim holds; if heartbeats stop (worker crashed, network partition,
-OOM-killed container) the lease expires and the scheduler requeues the
-job at the front of its priority class — the same infrastructure-
-failure semantics the in-process pool gets from ``BrokenProcessPool``.
+A worker that pulls a job gets a :class:`Lease`: a claim on that job.
+A remote worker's lease has a deadline it renews by heartbeating; if
+heartbeats stop (worker crashed, network partition, OOM-killed
+container) the lease expires and the scheduler's reaper requeues the
+job at the front of its priority class.  The scheduler's local worker
+threads take leases **without a deadline**: each thread reports every
+outcome of its attempt itself (a dead child included), so the reaper
+never has to take their job back, however long the attempt runs.
 
 All deadlines are **monotonic-clock** deltas: a wall-clock adjustment
 on the coordinator can never spuriously expire (or immortalize) a
@@ -16,10 +18,11 @@ into it without holding its job lock.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import StaleLeaseError
 from repro.service.jobs import Job
@@ -27,18 +30,18 @@ from repro.service.jobs import Job
 
 @dataclass
 class Lease:
-    """One worker's renewable claim on one running job."""
+    """One worker's claim on one running job (``timeout=None``: no deadline)."""
 
     id: str
     job: Job
     worker: str
-    timeout: float
+    timeout: Optional[float]
     granted_monotonic: float
     expires_monotonic: float
     heartbeats: int = field(default=0)
 
     def remaining(self, now: float) -> float:
-        """Seconds until expiry (negative = already expired)."""
+        """Seconds until expiry (negative = already expired; inf = never)."""
         return self.expires_monotonic - now
 
     def to_json(self, now: float) -> Dict:
@@ -48,7 +51,7 @@ class Lease:
             "worker": self.worker,
             "timeout": self.timeout,
             "heartbeats": self.heartbeats,
-            "expires_in": self.remaining(now),
+            "expires_in": None if self.timeout is None else self.remaining(now),
         }
 
 
@@ -68,17 +71,21 @@ class LeaseManager:
         self._leases: Dict[str, Lease] = {}
         self._ids = itertools.count(1)
 
-    def grant(self, job: Job, worker: str) -> Lease:
-        """Create a lease on ``job`` for ``worker``."""
+    def grant(self, job: Job, worker: str, expires: bool = True) -> Lease:
+        """Create a lease on ``job`` for ``worker``.
+
+        ``expires=False`` grants it without a deadline: it is never
+        harvested, and only its holder can release it."""
         now = self._clock()
+        timeout = self.timeout if expires else None
         with self._lock:
             lease = Lease(
                 id=f"lease-{next(self._ids)}",
                 job=job,
                 worker=worker,
-                timeout=self.timeout,
+                timeout=timeout,
                 granted_monotonic=now,
-                expires_monotonic=now + self.timeout,
+                expires_monotonic=now + timeout if timeout is not None else math.inf,
             )
             self._leases[lease.id] = lease
             return lease
@@ -92,25 +99,25 @@ class LeaseManager:
                 raise StaleLeaseError(
                     f"lease {lease_id!r} is unknown or expired; abandon the attempt"
                 )
-            lease.expires_monotonic = now + lease.timeout
+            if lease.timeout is not None:
+                lease.expires_monotonic = now + lease.timeout
             lease.heartbeats += 1
             return lease
 
     def release(self, lease_id: str) -> Lease:
-        """Remove and return a live lease (worker completed/failed it)."""
+        """Remove and return a live lease (worker completed/failed it).
+
+        An expired lease stays in place for the reaper, which requeues
+        its job; dropping it here would strand the job ``running``.
+        """
         now = self._clock()
         with self._lock:
-            lease = self._leases.pop(lease_id, None)
-            if lease is None:
+            lease = self._leases.get(lease_id)
+            if lease is None or lease.remaining(now) <= 0:
                 raise StaleLeaseError(
                     f"lease {lease_id!r} is unknown or expired; abandon the attempt"
                 )
-            if lease.remaining(now) <= 0:
-                # Expired while the release request was in flight: the
-                # reaper may already have requeued the job elsewhere.
-                raise StaleLeaseError(
-                    f"lease {lease_id!r} expired before release; abandon the attempt"
-                )
+            del self._leases[lease_id]
             return lease
 
     def harvest_expired(self) -> List[Lease]:

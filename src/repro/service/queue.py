@@ -3,10 +3,10 @@
 Dispatch order is decided in three tiers:
 
 1. **priority class** — lower ``job.priority`` values always run first;
-2. **requeue lane** — jobs pushed with ``front=True`` (pool-crash or
-   lease-expiry recovery) drain before fresh submissions of the same
-   priority, and replay in **FIFO order among themselves**: work that
-   entered the system earlier is re-dispatched earlier;
+2. **requeue lane** — jobs pushed with ``front=True`` (attempts lost
+   with their worker: a dead local child or an expired lease) drain
+   before fresh submissions of the same priority, and replay in **FIFO
+   order among themselves**: work lost earlier is re-dispatched earlier;
 3. **tenant fairness** — fresh jobs of the same priority round-robin
    across tenants (FIFO within each tenant), so one tenant flooding
    the queue cannot starve another's submissions.

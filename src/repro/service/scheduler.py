@@ -1,55 +1,51 @@
-"""Async scheduler and supervised worker pool of the experiment service.
+"""Scheduler of the experiment service: one lease protocol for every worker.
 
-The :class:`Scheduler` owns the whole job lifecycle: submissions are
-validated into :class:`~repro.service.jobs.Job` records, coalesced on
-their content-addressed result key (a duplicate of a queued/running
-job attaches to it; a duplicate of a completed one is served from the
-result store), and dispatched from a tenant-fair priority queue onto
-any mix of three execution backends:
+The :class:`Scheduler` owns the job lifecycle.  Submissions become
+:class:`~repro.service.jobs.Job` records coalesced on their
+content-addressed result key (a duplicate of a live job attaches to
+it; one of a completed job is served from the result store).  Jobs
+leave a tenant-fair priority queue only under a **lease**
+(:meth:`lease_next` / :meth:`heartbeat_lease` / :meth:`complete_lease`
+/ :meth:`fail_lease`), and every worker is a client of those calls:
+remote worker nodes over HTTP (``local=False`` makes the scheduler a
+pure coordinator), and ``max(1, workers)`` local threads in-process.
+Each local thread runs its attempts in its own single-process pool
+(``workers >= 1``) or inline (``workers == 0``).
 
-* a supervised in-process pool (``workers >= 1``);
-* the dispatcher thread itself (``workers == 0``, inline mode);
-* **remote worker nodes** pulling jobs over HTTP through the lease
-  protocol (:meth:`lease_next` / :meth:`heartbeat_lease` /
-  :meth:`complete_lease` / :meth:`fail_lease`), with ``local=False``
-  turning the scheduler into a pure coordinator.
+Failure semantics, the same for every worker:
 
-Failure semantics:
+* an attempt that raises consumes the job's retry budget: the job
+  re-enters the queue's back lane once its exponential backoff elapses
+  (a delayed-retry heap the reaper flushes), and ends ``failed`` when
+  the budget is spent;
+* a local attempt past the job's timeout terminates only its own
+  thread's child and goes through the same budget, ending
+  ``timed-out``;
+* an attempt **lost** with its worker (a remote lease expiring without
+  a heartbeat, a local child dying) is requeued at the front of its
+  priority class, FIFO, by one function; losses do not consume the
+  retry budget, but more than ``max_requeues`` fail the job.
 
-* an attempt that raises is retried with exponential backoff up to the
-  job's retry budget, then the job is marked ``failed`` — remote
-  attempts use the same budget and backoff curve, but back off by
-  delaying the requeue instead of sleeping a dispatcher;
-* an attempt that exceeds the job's timeout marks the attempt
-  timed-out and **restarts the pool** to reclaim the stuck worker
-  (``ProcessPoolExecutor`` cannot cancel a running task), retrying
-  within the same budget before the job ends ``timed-out``;
-* a worker process dying (``BrokenProcessPool``) — or a remote
-  worker's **lease expiring** without a heartbeat — requeues the
-  in-flight job at the front of its priority class in FIFO order; an
-  infrastructure failure does not consume the job's retry budget, but
-  repeated ones (``max_requeues``) eventually fail the job instead of
-  poisoning the queue.
-
-``max_queue_depth`` bounds the fresh-submission backlog: past it,
-:meth:`submit` raises :class:`~repro.errors.BackpressureError` (the
-HTTP layer answers 429).  Duplicates of live jobs and result-store
-hits are never rejected — they add no queue pressure.
-
-All durations (uptime, job durations, lease deadlines, backoff
-schedules) are monotonic-clock deltas; wall-clock reads only produce
-display timestamps.  Inline mode cannot preempt a running attempt, so
-per-job timeouts are only enforced with a process pool.
+Local leases have no deadline, since their own thread reports every
+outcome; they still show in ``GET /leases`` and ``workers_known``.
+``max_queue_depth`` bounds the fresh-submission backlog (past it,
+:meth:`submit` raises :class:`~repro.errors.BackpressureError`, HTTP
+429); duplicates and result-store hits are never rejected.  Durations
+are monotonic: the ``clock`` seam drives lease deadlines and backoff
+readiness alike, and wall-clock reads only produce display timestamps.
+Per-job timeouts need a child to terminate, so inline mode cannot
+enforce them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import itertools
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import wait as wait_futures
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -79,54 +75,35 @@ from repro.service.leases import Lease, LeaseManager
 from repro.service.queue import JobQueue
 from repro.service.results import ResultStore
 
+#: Lifecycle counters ``metrics()["counters"]`` reports, zeros included.
+#: Their one store is the registry's unlabeled ``service.<name>`` series.
+COUNTERS = (
+    "submitted", "deduped", "cache_hits", "completed", "failed", "retries",
+    "timeouts", "pool_restarts", "requeues", "rejected", "leases",
+    "heartbeats", "lease_expiries", "searches", "searches_completed",
+    "searches_failed",
+)
 
-class SupervisedPool:
-    """A restartable ``ProcessPoolExecutor``.
+#: Seconds a local worker blocks on the queue, or on its child, before
+#: it looks at the stop flag again.
+_POLL = 0.05
 
-    Before (re)creating the pool the parent's pipeline artifacts are
-    spilled to the shared disk store (same plumbing as
-    ``analysis.parallel.run_tasks``) so workers hydrate precomputed
-    stage prefixes.  ``restart()`` terminates the worker processes —
-    the only way to reclaim one stuck in a timed-out task — and builds
-    a fresh executor; in-flight futures fail with
-    ``BrokenProcessPool`` and their jobs are requeued by the scheduler.
-    """
 
-    def __init__(self, workers: int) -> None:
-        self.workers = workers
-        self._lock = threading.Lock()
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self.restarts = 0
+class _Overtime(Exception):
+    """A local attempt ran past its job's timeout."""
 
-    def submit(self, fn: Callable, *args):
-        with self._lock:
-            if self._pool is None:
-                share_artifacts()
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            return self._pool.submit(fn, *args)
 
-    def restart(self) -> None:
-        """Kill the worker processes and drop the executor."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-            if pool is None:
-                return
-            self.restarts += 1
-            for process in list(getattr(pool, "_processes", {}).values()):
-                process.terminate()
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def shutdown(self) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            for process in list(getattr(pool, "_processes", {}).values()):
-                process.terminate()
-            pool.shutdown(wait=False, cancel_futures=True)
+def _terminate(pool: Optional[ProcessPoolExecutor]) -> None:
+    """Kill a local worker's child and drop its executor."""
+    if pool is None:
+        return
+    for process in list(getattr(pool, "_processes", {}).values()):
+        process.terminate()
+    pool.shutdown(wait=False, cancel_futures=True)
 
 
 class Scheduler:
-    """The experiment job service: queue + execution backends + results."""
+    """The experiment job service: queue + leases + local workers + results."""
 
     def __init__(
         self,
@@ -143,7 +120,7 @@ class Scheduler:
         reaper_interval: float = 0.05,
         results: Optional[ResultStore] = None,
         executor: Optional[Callable[[Dict], Dict]] = None,
-        sleep: Callable[[float], None] = time.sleep,
+        clock: Callable[[], float] = time.monotonic,
         registry: Optional[obs.MetricsRegistry] = None,
     ) -> None:
         if workers < 0:
@@ -162,61 +139,41 @@ class Scheduler:
         self.max_queue_depth = max_queue_depth
         self.local = local
         self.reaper_interval = reaper_interval
+        self._clock = clock
         self.queue = JobQueue()
-        self.leases = LeaseManager(timeout=lease_timeout)
+        self.leases = LeaseManager(timeout=lease_timeout, clock=clock)
         self.results = results if results is not None else ResultStore()
         self._executor = executor if executor is not None else execute_payload
-        self._sleep = sleep
-        self._pool = SupervisedPool(workers) if workers >= 1 and local else None
         self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
         self._live_by_key: Dict[str, Job] = {}
-        #: Remote-retry backlog: (ready_monotonic, tiebreak, job) heap
+        #: Retry backlog: (ready time on ``clock``, tiebreak, job) heap
         #: the reaper flushes back into the queue once backoff elapses.
         self._delayed: List[Tuple[float, int, Job]] = []
-        #: worker name -> last-seen monotonic stamp (lease or heartbeat).
+        #: worker name -> last-seen ``clock`` stamp (lease or heartbeat).
         self._workers_seen: Dict[str, float] = {}
         self._ids = itertools.count(1)
         self._delay_ids = itertools.count(1)
         self._search_ids = itertools.count(1)
         #: search id -> mutable state record (see ``start_search``).
         self._searches: Dict[str, Dict] = {}
-        self._counters = {
-            "submitted": 0,
-            "deduped": 0,
-            "cache_hits": 0,
-            "completed": 0,
-            "failed": 0,
-            "retries": 0,
-            "timeouts": 0,
-            "pool_restarts": 0,
-            "requeues": 0,
-            "rejected": 0,
-            "leases": 0,
-            "heartbeats": 0,
-            "lease_expiries": 0,
-            "searches": 0,
-            "searches_completed": 0,
-            "searches_failed": 0,
-        }
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
         self._started_at = time.time()  # display timestamp only
-        self._started_monotonic = time.monotonic()
-        #: Metrics registry mirror: every lifecycle counter also lands
-        #: here as ``service.<name>``, next to the simulator-level
-        #: series (cache.*, bus.*, span.*) the workers publish, so one
+        self._started_monotonic = clock()
+        #: The one counter store: lifecycle counters land here as
+        #: ``service.<name>``, next to the simulator-level series
+        #: (cache.*, bus.*, span.*) the workers publish, so one
         #: ``/metrics`` read shows queue and simulation health together.
         self.registry = registry if registry is not None else obs.registry()
 
-    def _count(self, name: str, amount: int = 1) -> None:
-        self._counters[name] += amount
-        self.registry.counter(f"service.{name}").inc(amount)
+    def _count(self, name: str) -> None:
+        self.registry.counter(f"service.{name}").inc()
 
     # -- lifecycle ---------------------------------------------------
 
     def start(self) -> "Scheduler":
-        """Spawn the dispatcher threads (if executing locally) and the
+        """Spawn the local worker threads (if executing locally) and the
         lease/backoff reaper."""
         if self._threads:
             return self
@@ -224,8 +181,9 @@ class Scheduler:
         if self.local:
             for index in range(max(1, self.workers)):
                 thread = threading.Thread(
-                    target=self._dispatch_loop,
-                    name=f"repro-dispatch-{index}",
+                    target=self._local_worker,
+                    args=(index,),
+                    name=f"repro-local-{index}",
                     daemon=True,
                 )
                 thread.start()
@@ -238,13 +196,12 @@ class Scheduler:
         return self
 
     def stop(self, timeout: float = 5.0) -> None:
-        """Stop dispatching and tear the worker pool down."""
+        """Stop the threads; each local worker terminates its own child
+        (one caught mid-attempt requeues its job as a lost attempt)."""
         self._stop.set()
         for thread in self._threads:
             thread.join(timeout=timeout)
         self._threads.clear()
-        if self._pool is not None:
-            self._pool.shutdown()
 
     # -- submission --------------------------------------------------
 
@@ -322,136 +279,101 @@ class Scheduler:
         found, payload = self.results.get(key)
         return payload if found else None
 
-    # -- dispatch ----------------------------------------------------
+    # -- local workers: in-process lease clients ---------------------
 
-    def _dispatch_loop(self) -> None:
-        while not self._stop.is_set():
-            job = self.queue.pop(timeout=0.05)
-            if job is None:
-                continue
-            try:
-                self._run_job(job)
-            except Exception as exc:  # defensive: never kill a dispatcher
-                with self._lock:
-                    self._count("failed")
-                    self._finish(job, FAILED, f"scheduler error: {exc}")
-
-    def _run_job(self, job: Job) -> None:
-        # The result may have appeared while the job sat in the queue
-        # (another dispatcher finished the same key first).
-        found, _payload = self.results.peek(job.result_key)
-        if found:
-            with self._lock:
-                job.cached = True
-                self._finish(job, DONE)
-            return
-        with self._lock:
-            job.state = RUNNING
-            job.mark_started()
-        while True:
-            with self._lock:
-                job.attempts += 1
-            try:
-                payload = self._execute(job)
-            except BrokenProcessPool:
-                # Either requeued (picked up again from the queue) or
-                # failed after too many crashes; this dispatch is over.
-                self._requeue_after_crash(job)
-                return
-            except FutureTimeoutError:
-                with self._lock:
-                    self._count("timeouts")
-                if self._pool is not None:
-                    # The worker is still grinding on the dead attempt;
-                    # restarting the pool is the only way to reclaim it.
-                    self._pool.restart()
+    def _local_worker(self, index: int) -> None:
+        """Lease, run, report: the remote worker's loop, in-process."""
+        worker = f"local-{index}"
+        child: Optional[ProcessPoolExecutor] = None
+        try:
+            while not self._stop.is_set():
+                lease = self.lease_next(worker, wait=_POLL, expires=False)
+                if lease is None:
+                    continue
+                try:
+                    child = self._run_local(lease, child)
+                except Exception as exc:  # defensive: never kill a local worker
+                    # Its lease has no deadline, so nothing else would
+                    # ever settle the job.
+                    with contextlib.suppress(StaleLeaseError):
+                        self.leases.release(lease.id)
                     with self._lock:
-                        self._count("pool_restarts")
-                if not self._backoff_or_finish(job, TIMED_OUT, "attempt timed out"):
-                    return
-            except Exception as exc:
-                if not self._backoff_or_finish(job, FAILED, str(exc) or repr(exc)):
-                    return
-            else:
-                self.results.put(job.result_key, payload)
-                with self._lock:
-                    self._count("completed")
-                    self._finish(job, DONE)
-                return
+                        if lease.job.state == RUNNING:
+                            self._count("failed")
+                            self._finish(lease.job, FAILED, f"scheduler error: {exc}")
+        finally:
+            _terminate(child)
 
-    def _execute(self, job: Job) -> Dict:
+    def _run_local(
+        self, lease: Lease, child: Optional[ProcessPoolExecutor]
+    ) -> Optional[ProcessPoolExecutor]:
+        """Run one leased attempt and report its outcome; returns this
+        thread's child pool (``None`` once it had to be terminated)."""
+        job = lease.job
         payload = job.spec.to_payload()
-        # The span times the whole attempt (dispatcher-side, so it
-        # covers pool scheduling + the worker's run) and lands in the
-        # ``span.service.execute`` histogram of /metrics.
-        with span("service.execute", kind=job.spec.kind, job=job.id):
-            if self._pool is None:
-                return self._executor(payload)
-            future = self._pool.submit(self._executor, payload)
-            return future.result(timeout=job.timeout)
-
-    def _backoff_delay(self, attempts: int) -> float:
-        """Exponential backoff before attempt ``attempts + 1``."""
-        return min(
-            self.backoff_base * self.backoff_factor ** (attempts - 1),
-            self.backoff_max,
-        )
-
-    def _backoff_or_finish(self, job: Job, state: str, error: str) -> bool:
-        """Retry with backoff if budget remains; else finish. True = retry."""
-        with self._lock:
-            if job.attempts > job.retries:
-                if state == FAILED:
-                    self._count("failed")
-                self._finish(job, state, error)
-                return False
-            self._count("retries")
-            job.error = error  # visible while the retry is pending
-        self._sleep(self._backoff_delay(job.attempts))
-        return True
-
-    def _requeue_after_crash(self, job: Job) -> bool:
-        """Recover from a dead worker pool; False = job finished failed."""
-        self._pool.restart()
-        with self._lock:
+        try:
+            # The span times the whole attempt (child startup + run) and
+            # lands in the ``span.service.execute`` histogram of /metrics.
+            with span("service.execute", kind=job.spec.kind, job=job.id):
+                if self.workers == 0:
+                    result = self._executor(payload)
+                else:
+                    if child is None:
+                        share_artifacts()
+                        child = ProcessPoolExecutor(max_workers=1)
+                    future = child.submit(self._executor, payload)
+                    result = self._await_child(future, job.timeout)
+        except (BrokenProcessPool, _Overtime) as lost:
+            # Terminating the child is the only way to reclaim one stuck
+            # past its timeout; it is this thread's own, so no other
+            # job's attempt goes down with it.
+            _terminate(child)
             self._count("pool_restarts")
-            if not self._requeue_infrastructure_locked(
-                job, "worker pool crashed repeatedly while running this job"
-            ):
-                return False
-        self.queue.push(job, front=True)
-        return True
+            if isinstance(lost, _Overtime):
+                self._count("timeouts")
+                self._retry_or_finish(
+                    self.leases.release(lease.id), TIMED_OUT, "attempt timed out"
+                )
+            else:
+                self.leases.release(lease.id)
+                self._requeue_lost(lease, "worker process died")
+            return None
+        except Exception as exc:
+            self.fail_lease(lease.id, str(exc) or repr(exc))
+        else:
+            self.complete_lease(lease.id, result)
+        return child
 
-    def _requeue_infrastructure_locked(self, job: Job, fail_error: str) -> bool:
-        """Shared crash/lease-expiry bookkeeping; caller holds the lock
-        and, on ``True``, pushes the job back to the queue front."""
-        job.requeues += 1
-        job.attempts -= 1  # the lost attempt never really ran
-        if job.requeues > self.max_requeues:
-            self._count("failed")
-            self._finish(job, FAILED, fail_error)
-            return False
-        self._count("requeues")
-        job.state = QUEUED
-        return True
+    def _await_child(self, future: Future, timeout: Optional[float]) -> Dict:
+        """The child's result; raises :class:`_Overtime` past ``timeout``
+        (real seconds) and ``BrokenProcessPool`` if the child died or the
+        scheduler is stopping."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            left = _POLL if deadline is None else min(_POLL, deadline - time.monotonic())
+            if left <= 0:
+                raise _Overtime()
+            done, _pending = wait_futures([future], timeout=left)
+            if done:
+                return future.result()
+            if self._stop.is_set():
+                raise BrokenProcessPool("the scheduler stopped mid-attempt")
 
-    def _finish(self, job: Job, state: str, error: Optional[str] = None) -> None:
-        """Terminal transition; caller holds the lock."""
-        job.finish(state, error)
-        if self._live_by_key.get(job.result_key) is job:
-            del self._live_by_key[job.result_key]
+    # -- the lease protocol: lease / heartbeat / complete / fail -------
 
-    # -- remote workers: lease / heartbeat / complete / fail ----------
+    def lease_next(
+        self, worker: str, wait: float = 0.0, expires: bool = True
+    ) -> Optional[Lease]:
+        """Hand the next queued job to ``worker`` under a lease.
 
-    def lease_next(self, worker: str) -> Optional[Lease]:
-        """Hand the next queued job to a remote worker under a lease.
-
-        Returns ``None`` when the queue is empty.  Jobs whose result
-        appeared while they sat queued are finished as cache hits and
-        skipped, same as the local dispatch path.
+        Returns ``None`` when the queue stays empty for ``wait``
+        seconds.  ``expires=False`` grants a lease without a deadline,
+        for the local workers, which report every outcome themselves.
+        Jobs whose result appeared while they sat queued are finished
+        as cache hits and skipped.
         """
         while True:
-            job = self.queue.pop(timeout=0)
+            job = self.queue.pop(timeout=wait)
             if job is None:
                 return None
             found, _payload = self.results.peek(job.result_key)
@@ -464,9 +386,9 @@ class Scheduler:
                 job.state = RUNNING
                 job.mark_started()
                 job.attempts += 1
-                self._count("leases")
-                self._workers_seen[worker] = time.monotonic()
-            lease = self.leases.grant(job, worker)
+                self._workers_seen[worker] = self._clock()
+            self._count("leases")
+            lease = self.leases.grant(job, worker, expires=expires)
             self.registry.counter("service.leases").labels(worker=worker).inc()
             self.registry.gauge("service.leases_active").set(len(self.leases))
             return lease
@@ -475,8 +397,8 @@ class Scheduler:
         """Renew a worker's claim; stale leases raise ``StaleLeaseError``."""
         lease = self.leases.heartbeat(lease_id)
         with self._lock:
-            self._count("heartbeats")
-            self._workers_seen[lease.worker] = time.monotonic()
+            self._workers_seen[lease.worker] = self._clock()
+        self._count("heartbeats")
         self.registry.counter("service.heartbeats").labels(worker=lease.worker).inc()
         return lease
 
@@ -496,33 +418,72 @@ class Scheduler:
                 self.results.put(key, payload)
             raise
         self.results.put(lease.job.result_key, payload)
+        self._count("completed")
         with self._lock:
-            self._count("completed")
             self._finish(lease.job, DONE)
         self.registry.gauge("service.leases_active").set(len(self.leases))
         return lease.job
 
     def fail_lease(self, lease_id: str, error: str) -> Job:
-        """A worker's attempt raised: consume retry budget with backoff.
+        """A worker's attempt raised: consume retry budget with backoff."""
+        return self._retry_or_finish(self.leases.release(lease_id), FAILED, error)
 
-        Unlike the local path the coordinator cannot sleep a dispatcher,
-        so the retry is **delayed**: the job re-enters the queue once
-        its backoff elapses (the reaper flushes it).
+    def _retry_or_finish(self, lease: Lease, state: str, error: str) -> Job:
+        """The one retry-budget path (failed or timed-out attempts).
+
+        With budget left the retry is **delayed**: the job re-enters
+        the queue's back lane once its backoff elapses on ``clock`` (the
+        reaper flushes it); otherwise the job finishes as ``state``.
         """
-        lease = self.leases.release(lease_id)
         job = lease.job
         with self._lock:
             if job.attempts > job.retries:
-                self._count("failed")
-                self._finish(job, FAILED, error)
+                if state == FAILED:
+                    self._count("failed")
+                self._finish(job, state, error)
             else:
                 self._count("retries")
                 job.error = error  # visible while the retry is pending
                 job.state = QUEUED
-                ready = time.monotonic() + self._backoff_delay(job.attempts)
+                ready = self._clock() + self._backoff_delay(job.attempts)
                 heapq.heappush(self._delayed, (ready, next(self._delay_ids), job))
         self.registry.gauge("service.leases_active").set(len(self.leases))
         return job
+
+    def _backoff_delay(self, attempts: int) -> float:
+        """Exponential backoff before attempt ``attempts + 1``."""
+        return min(
+            self.backoff_base * self.backoff_factor ** (attempts - 1),
+            self.backoff_max,
+        )
+
+    def _requeue_lost(self, lease: Lease, cause: str) -> None:
+        """The one infrastructure-requeue path, for an attempt lost with
+        its worker (a reaped lease, a dead local child).  The caller has
+        already removed ``lease`` from the manager.  The job goes back
+        to the front of its priority class; the lost attempt does not
+        count against the retry budget, but too many losses fail it."""
+        job = lease.job
+        with self._lock:
+            job.requeues += 1
+            job.attempts -= 1  # the lost attempt never really ran
+            if job.requeues > self.max_requeues:
+                self._count("failed")
+                self._finish(
+                    job,
+                    FAILED,
+                    f"{cause} {job.requeues} times (last worker: {lease.worker})",
+                )
+                return
+            self._count("requeues")
+            job.state = QUEUED
+        self.queue.push(job, front=True)
+
+    def _finish(self, job: Job, state: str, error: Optional[str] = None) -> None:
+        """Terminal transition; caller holds the lock."""
+        job.finish(state, error)
+        if self._live_by_key.get(job.result_key) is job:
+            del self._live_by_key[job.result_key]
 
     def _reaper_loop(self) -> None:
         """Requeue jobs of expired leases and flush elapsed backoffs."""
@@ -532,17 +493,10 @@ class Scheduler:
 
     def _reap_once(self) -> None:
         for lease in self.leases.harvest_expired():
-            requeue = False
-            with self._lock:
-                self._count("lease_expiries")
-                requeue = self._requeue_infrastructure_locked(
-                    lease.job,
-                    f"lease expired repeatedly (last worker: {lease.worker})",
-                )
-            if requeue:
-                self.queue.push(lease.job, front=True)
+            self._count("lease_expiries")
+            self._requeue_lost(lease, "lease expired")
         self.registry.gauge("service.leases_active").set(len(self.leases))
-        now = time.monotonic()
+        now = self._clock()
         ready: List[Job] = []
         with self._lock:
             while self._delayed and self._delayed[0][0] <= now:
@@ -558,7 +512,7 @@ class Scheduler:
 
         Trials are dispatched back through :meth:`submit`, so they ride
         the normal queue — deduped on result keys, executed by the
-        local pool or the remote worker fleet, counted in ``/metrics``
+        local workers or the remote worker fleet, counted in ``/metrics``
         — while the driver archives every trial and the final report
         into the shared :class:`~repro.expfw.archive.RunArchive`.
         Returns the search's JSON state record (state ``running``).
@@ -625,18 +579,18 @@ class Scheduler:
 
     def lease_snapshot(self) -> List[Dict]:
         """Active leases as JSON records (the ``GET /leases`` document)."""
-        now = time.monotonic()
+        now = self._clock()
         return [lease.to_json(now) for lease in self.leases.active()]
 
     def metrics(self) -> Dict:
         """The `/metrics` document: queue, states, counters, stores,
-        leases, plus the obs registry (service.* mirrors, simulator-
-        level cache/bus counters and span histograms)."""
+        leases, plus the obs registry (the service.* counters behind
+        ``counters``, simulator-level cache/bus counters and span
+        histograms)."""
         with self._lock:
             by_state = {state: 0 for state in STATES}
             for job in self._jobs.values():
                 by_state[job.state] += 1
-            counters = dict(self._counters)
             delayed = len(self._delayed)
             workers_seen = len(self._workers_seen)
             searches_by_state: Dict[str, int] = {}
@@ -650,8 +604,11 @@ class Scheduler:
         for state, count in by_state.items():
             self.registry.gauge("service.jobs").labels(state=state).set(count)
         self.registry.gauge("service.workers_known").set(workers_seen)
+        counters = {
+            name: int(self.registry.counter(f"service.{name}").value) for name in COUNTERS
+        }
         return {
-            "uptime_seconds": time.monotonic() - self._started_monotonic,
+            "uptime_seconds": self._clock() - self._started_monotonic,
             "started_at": self._started_at,
             "workers": self.workers,
             "local_execution": self.local,
@@ -678,5 +635,5 @@ class Scheduler:
             "workers": self.workers,
             "local_execution": self.local,
             "dispatchers": sum(thread.is_alive() for thread in self._threads),
-            "uptime_seconds": time.monotonic() - self._started_monotonic,
+            "uptime_seconds": self._clock() - self._started_monotonic,
         }

@@ -9,7 +9,7 @@ lease protocol from the worker's side::
     POST /leases/<id>/complete  <result>       # or /fail {"error": ...}
 
 Execution happens in this process with the same module-level
-:func:`~repro.service.jobs.execute_payload` the in-process pool uses,
+:func:`~repro.service.jobs.execute_payload` the local workers use,
 so a worker sharing ``REPRO_ARTIFACT_DIR`` with the coordinator (and
 the rest of the fleet) hydrates precomputed pipeline stages from the
 shared disk tier and publishes results any node can serve.

@@ -170,6 +170,11 @@ class TestDocScripts:
         text = (tmp_path / "API.md").read_text()
         assert "repro.core.machine" in text
         assert "simulate_machine" in text
+        # Deterministic: no memory addresses, so a rerun is byte-identical.
+        assert " at 0x" not in text
+        assert "executor: 'Callable[[Dict], Dict]' = <execute_payload>" in text
+        module.main()
+        assert (tmp_path / "API.md").read_text() == text
 
     def test_report_generator_runs(self, tmp_path, monkeypatch):
         import importlib.util

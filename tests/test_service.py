@@ -71,6 +71,34 @@ def _sleep_forever(payload):
     return {"key": "k", "text": "slept", "elapsed_seconds": 60.0}
 
 
+def _neighbour(payload):
+    """An innocent job that takes about a second."""
+    time.sleep(1.0)
+    return {"key": "b", "text": "neighbour", "elapsed_seconds": 1.0}
+
+
+def _crash_beside_a_neighbour(payload):
+    """The ``SCALE`` job dies hard 0.3 s into its first run."""
+    if payload["scale"] != SCALE:
+        return _neighbour(payload)
+    time.sleep(0.3)
+    return _kill_once(payload)
+
+
+def _hang_beside_a_neighbour(payload):
+    """The ``SCALE`` job hangs past any timeout."""
+    if payload["scale"] != SCALE:
+        return _neighbour(payload)
+    return _sleep_forever(payload)
+
+
+def _wait_until(predicate, timeout: float = 30.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never came true"
+        time.sleep(0.005)
+
+
 @pytest.fixture
 def isolated_store(tmp_path):
     """Give each test its own artifact store (memory + private disk tier)."""
@@ -295,14 +323,34 @@ class TestJobLifecycle:
         finally:
             del EXPERIMENTS[name]
 
+    def test_a_reporting_fault_fails_the_job_not_the_worker(
+        self, isolated_store, make_scheduler, echo_experiment
+    ):
+        class FullDisk(ResultStore):
+            def put(self, key, payload):
+                if "0.5" in key:
+                    raise OSError("disk full")
+                super().put(key, payload)
+
+        scheduler = make_scheduler(workers=0, results=FullDisk()).start()
+        doomed, _ = scheduler.submit({"experiment": echo_experiment, "scale": 0.5})
+        done = scheduler.wait(doomed.id, timeout=30)
+        assert done.state == FAILED and "disk full" in done.error
+        # The local worker survived and runs the next job.
+        job, _ = scheduler.submit({"experiment": echo_experiment, "scale": SCALE})
+        assert scheduler.wait(job.id, timeout=30).state == DONE
+
     def test_unknown_job_id(self, make_scheduler):
         with pytest.raises(ServiceError, match="unknown job"):
             make_scheduler(workers=0).job("job-404")
 
 
 class TestRetryBackoff:
+    """A retry waits on the delayed-retry heap until its backoff elapses
+    on the ``clock`` seam, for local and remote attempts alike."""
+
     def test_exponential_backoff_schedule(self, isolated_store, make_scheduler):
-        """Two failures then success: sleeps follow base * factor**n."""
+        """Two failures then success: retries are ready base * factor**n later."""
         attempts = []
         name = "svc-test-flaky"
         def flaky(scale):
@@ -311,19 +359,28 @@ class TestRetryBackoff:
                 raise RuntimeError(f"flake #{len(attempts)}")
             return "recovered"
         EXPERIMENTS[name] = ("flaky", flaky)
-        sleeps = []
+        clock = FakeMonotonic()
         try:
             scheduler = make_scheduler(
                 workers=0,
                 default_retries=3,
                 backoff_base=0.5,
                 backoff_factor=2.0,
-                sleep=sleeps.append,
+                reaper_interval=0.01,
+                clock=clock.now,
             ).start()
             job, _ = scheduler.submit({"experiment": name, "scale": SCALE})
+            readiness = []
+            for retry in (1, 2):
+                _wait_until(lambda: scheduler.metrics()["counters"]["retries"] == retry)
+                with scheduler._lock:
+                    ready_at = scheduler._delayed[0][0]
+                readiness.append(ready_at - clock.now())
+                assert job.state == QUEUED  # backing off: nothing runs it
+                clock.advance(readiness[-1])
             done = scheduler.wait(job.id, timeout=30)
             assert done.state == DONE and done.attempts == 3
-            assert sleeps == [0.5, 1.0]
+            assert readiness == [0.5, 1.0]
             assert scheduler.metrics()["counters"]["retries"] == 2
             assert scheduler.result(job.result_key)["text"] == "recovered"
         finally:
@@ -334,26 +391,30 @@ class TestRetryBackoff:
     ):
         name = "svc-test-hopeless"
         EXPERIMENTS[name] = ("hopeless", lambda scale: 1 / 0)
-        sleeps = []
         try:
-            scheduler = make_scheduler(workers=0, sleep=sleeps.append).start()
+            scheduler = make_scheduler(
+                workers=0, backoff_base=0.01, reaper_interval=0.01
+            ).start()
             job, _ = scheduler.submit(
                 {"experiment": name, "scale": SCALE, "retries": 2}
             )
             done = scheduler.wait(job.id, timeout=30)
             assert done.state == FAILED and done.attempts == 3
-            assert len(sleeps) == 2  # one backoff between each attempt pair
+            # One backoff between each attempt pair.
+            assert scheduler.metrics()["counters"]["retries"] == 2
         finally:
             del EXPERIMENTS[name]
 
-    def test_backoff_is_capped(self, make_scheduler):
-        scheduler = make_scheduler(backoff_base=10.0, backoff_max=15.0)
-        job = Job(id="x", spec=spec_from_payload({"experiment": "table1"}), retries=5)
+    def test_backoff_is_capped(self, isolated_store, make_scheduler):
+        clock = FakeMonotonic()
+        scheduler = make_scheduler(
+            local=False, backoff_base=10.0, backoff_max=15.0, clock=clock.now
+        )
+        job, _ = scheduler.submit({"experiment": "table1", "scale": SCALE, "retries": 5})
+        lease = scheduler.lease_next("w1")
         job.attempts = 4
-        sleeps = []
-        scheduler._sleep = sleeps.append
-        assert scheduler._backoff_or_finish(job, FAILED, "err")
-        assert sleeps == [15.0]
+        assert scheduler.fail_lease(lease.id, "err").state == QUEUED
+        assert scheduler._delayed[0][0] - clock.now() == 15.0
 
 
 class TestCoalescing:
@@ -512,6 +573,65 @@ class TestPoolRecovery:
         assert counters["timeouts"] == 1
         # The stuck worker was reclaimed by restarting the pool.
         assert counters["pool_restarts"] >= 1
+
+    def test_a_crash_spares_the_neighbour_job(
+        self, isolated_store, make_scheduler, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(_MARKER_ENV, str(tmp_path / "crash-marker"))
+        scheduler = make_scheduler(
+            workers=2, executor=_crash_beside_a_neighbour
+        ).start()
+        crashing, _ = scheduler.submit({"experiment": "table1", "scale": SCALE})
+        neighbour, _ = scheduler.submit({"experiment": "table1", "scale": 0.125})
+        assert scheduler.wait(crashing.id, timeout=60).requeues == 1
+        done = scheduler.wait(neighbour.id, timeout=60)
+        assert done.state == DONE and done.requeues == 0 and done.attempts == 1
+        assert scheduler.result(done.result_key)["text"] == "neighbour"
+        assert scheduler.metrics()["counters"]["pool_restarts"] == 1
+
+    def test_a_timeout_spares_the_neighbour_job(self, isolated_store, make_scheduler):
+        scheduler = make_scheduler(
+            workers=2, executor=_hang_beside_a_neighbour
+        ).start()
+        hanging, _ = scheduler.submit(
+            {"experiment": "table1", "scale": SCALE, "timeout": 0.3, "retries": 0}
+        )
+        neighbour, _ = scheduler.submit({"experiment": "table1", "scale": 0.125})
+        assert scheduler.wait(hanging.id, timeout=60).state == TIMED_OUT
+        done = scheduler.wait(neighbour.id, timeout=60)
+        assert done.state == DONE and done.requeues == 0 and done.attempts == 1
+        assert scheduler.metrics()["counters"]["pool_restarts"] == 1
+
+    def test_a_long_inline_attempt_is_never_reaped(
+        self, isolated_store, make_scheduler
+    ):
+        """Local leases have no deadline: their own thread reports the
+        outcome, however far the clock runs past ``lease_timeout``."""
+        clock = FakeMonotonic()
+        listings = []
+
+        def overrun(payload):
+            clock.advance(60.0)  # twelve lease timeouts
+            time.sleep(0.2)  # ten reaper ticks
+            listings.append(
+                json.loads(json.dumps(scheduler.lease_snapshot(), allow_nan=False))
+            )
+            return {"key": "k", "text": "slow but fine", "elapsed_seconds": 0.2}
+
+        scheduler = make_scheduler(
+            workers=0,
+            lease_timeout=5.0,
+            reaper_interval=0.02,
+            clock=clock.now,
+            executor=overrun,
+        ).start()
+        job, _ = scheduler.submit({"experiment": "table1", "scale": SCALE})
+        done = scheduler.wait(job.id, timeout=30)
+        assert done.state == DONE and done.requeues == 0 and done.attempts == 1
+        assert scheduler.metrics()["counters"]["lease_expiries"] == 0
+        [[record]] = listings
+        assert record["worker"] == "local-0" and record["expires_in"] is None
+        assert scheduler.metrics()["leases"]["workers_known"] == 1
 
 
 class TestDurations:
