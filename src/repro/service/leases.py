@@ -56,7 +56,7 @@ class Lease:
 
 
 class LeaseManager:
-    """Tracks active leases and harvests the expired ones."""
+    """Tracks active leases and harvests the expired and overtime ones."""
 
     def __init__(
         self,
@@ -122,14 +122,26 @@ class LeaseManager:
 
     def harvest_expired(self) -> List[Lease]:
         """Remove and return every expired lease (reaper's tick)."""
+        return self._harvest(lambda lease, now: lease.remaining(now) <= 0)
+
+    def harvest_overtime(self) -> List[Lease]:
+        """Remove and return every live lease with a deadline whose attempt
+        has run longer than its job's ``timeout`` (reaper's tick)."""
+        return self._harvest(
+            lambda lease, now: lease.timeout is not None
+            and lease.job.timeout is not None
+            and lease.remaining(now) > 0
+            and now - lease.granted_monotonic > lease.job.timeout
+        )
+
+    def _harvest(self, due: Callable[[Lease, float], bool]) -> List[Lease]:
+        """Remove and return the leases ``due`` picks, oldest grant first."""
         now = self._clock()
         with self._lock:
-            expired = [
-                lease for lease in self._leases.values() if lease.remaining(now) <= 0
-            ]
-            for lease in expired:
+            picked = [lease for lease in self._leases.values() if due(lease, now)]
+            for lease in picked:
                 del self._leases[lease.id]
-            return expired
+            return picked
 
     def active(self) -> List[Lease]:
         """Live leases, oldest grant first (for ``GET /leases``)."""

@@ -18,9 +18,10 @@ Failure semantics, the same for every worker:
   re-enters the queue's back lane once its exponential backoff elapses
   (a delayed-retry heap the reaper flushes), and ends ``failed`` when
   the budget is spent;
-* a local attempt past the job's timeout terminates only its own
-  thread's child and goes through the same budget, ending
-  ``timed-out``;
+* an attempt past the job's timeout goes through the same budget,
+  ending ``timed-out``: a local one terminates only its own thread's
+  child, and the reaper takes a remote one's lease back, so the
+  worker's next heartbeat or delivery is stale;
 * an attempt **lost** with its worker (a remote lease expiring without
   a heartbeat, a local child dying) is requeued at the front of its
   priority class, FIFO, by one function; losses do not consume the
@@ -31,10 +32,10 @@ outcome; they still show in ``GET /leases`` and ``workers_known``.
 ``max_queue_depth`` bounds the fresh-submission backlog (past it,
 :meth:`submit` raises :class:`~repro.errors.BackpressureError`, HTTP
 429); duplicates and result-store hits are never rejected.  Durations
-are monotonic: the ``clock`` seam drives lease deadlines and backoff
-readiness alike, and wall-clock reads only produce display timestamps.
-Per-job timeouts need a child to terminate, so inline mode cannot
-enforce them.
+are monotonic: the ``clock`` seam drives lease deadlines, remote
+attempt timeouts and backoff readiness alike, and wall-clock reads only
+produce display timestamps.  Local per-job timeouts need a child to
+terminate, so inline mode cannot enforce them.
 """
 
 from __future__ import annotations
@@ -87,6 +88,14 @@ COUNTERS = (
 #: Seconds a local worker blocks on the queue, or on its child, before
 #: it looks at the stop flag again.
 _POLL = 0.05
+
+#: Held while a local worker submits to its child pool, whose first
+#: submit forks the child.  A child forked while another thread's fork
+#: is in flight inherits the write end of that child's liveness pipe
+#: and keeps it open, so the other child's death would go unnoticed.
+#: Forks are process-wide, so the lock is too (one per scheduler would
+#: not cover two schedulers in one process).
+_FORK_LOCK = threading.Lock()
 
 
 class _Overtime(Exception):
@@ -321,7 +330,8 @@ class Scheduler:
                     if child is None:
                         share_artifacts()
                         child = ProcessPoolExecutor(max_workers=1)
-                    future = child.submit(self._executor, payload)
+                    with _FORK_LOCK:
+                        future = child.submit(self._executor, payload)
                     result = self._await_child(future, job.timeout)
         except (BrokenProcessPool, _Overtime) as lost:
             # Terminating the child is the only way to reclaim one stuck
@@ -486,7 +496,8 @@ class Scheduler:
             del self._live_by_key[job.result_key]
 
     def _reaper_loop(self) -> None:
-        """Requeue jobs of expired leases and flush elapsed backoffs."""
+        """Requeue jobs of expired leases, time out remote attempts past
+        their job's timeout, and flush elapsed backoffs."""
         while not self._stop.is_set():
             self._reap_once()
             self._stop.wait(self.reaper_interval)
@@ -495,6 +506,12 @@ class Scheduler:
         for lease in self.leases.harvest_expired():
             self._count("lease_expiries")
             self._requeue_lost(lease, "lease expired")
+        # A remote worker cannot be made to stop an attempt, so its
+        # timeout is the coordinator's: the lease is taken back and the
+        # worker's next heartbeat or delivery is refused as stale.
+        for lease in self.leases.harvest_overtime():
+            self._count("timeouts")
+            self._retry_or_finish(lease, TIMED_OUT, "attempt timed out")
         self.registry.gauge("service.leases_active").set(len(self.leases))
         now = self._clock()
         ready: List[Job] = []

@@ -88,6 +88,24 @@ class TestRegistry:
         assert registry.get("c") is None
 
 
+class TestSimulatorPublishes:
+    def test_scene_children_sum_to_the_result(self, tiny_bench_scene):
+        """``simulate_machine`` publishes its cache totals as
+        ``scene=``-labeled children of the ``cache.*`` counters."""
+        config = MachineConfig(distribution=BlockInterleaved(4, 16))
+        result = simulate_machine(tiny_bench_scene, config)
+        counters = obs.registry().snapshot()["counters"]
+        assert result.cache.line_accesses > 0
+        for series in ("line_accesses", "misses", "fragments"):
+            children = [
+                value
+                for name, value in counters.items()
+                if name.startswith(f"cache.{series}{{scene=")
+            ]
+            assert children, series
+            assert sum(children) == getattr(result.cache, series)
+
+
 class TestHistogramBuckets:
     def test_edges_are_le_inclusive(self):
         """A value exactly at an edge lands in that edge's bucket."""

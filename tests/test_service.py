@@ -45,6 +45,7 @@ from repro.service import (
     Scheduler,
     ServiceClient,
     WorkerNode,
+    execute_payload,
     make_server,
     parse_submission,
     spec_from_payload,
@@ -892,6 +893,44 @@ class TestLeaseLifecycle:
         assert done.state == FAILED and "again" in done.error
         assert scheduler.metrics()["counters"]["retries"] == 1
 
+    @pytest.mark.parametrize("retries", [0, 1])
+    def test_a_remote_attempt_past_its_timeout_is_taken_back(
+        self, retries, isolated_store, make_scheduler, echo_experiment
+    ):
+        """Heartbeats keep a lease alive, not an attempt past its job's
+        timeout: the reaper takes it back on the scheduler's clock."""
+        clock = FakeMonotonic()
+        scheduler = make_scheduler(
+            workers=0, local=False, registry=obs.MetricsRegistry(),
+            lease_timeout=5.0, backoff_base=0.5, clock=clock.now,
+        )
+        job, _ = scheduler.submit(
+            {"experiment": echo_experiment, "timeout": 0.2, "retries": retries}
+        )
+        lease = scheduler.lease_next("alpha")
+        for step in (0.1, 0.09):  # 0.1 s, then 0.19 s into the attempt
+            clock.advance(step)
+            scheduler.heartbeat_lease(lease.id)
+            scheduler._reap_once()
+            assert job.state == RUNNING
+        clock.advance(0.05)  # past the timeout; the lease is alive to t=105.19
+        scheduler._reap_once()
+        with pytest.raises(StaleLeaseError):
+            scheduler.heartbeat_lease(lease.id)
+        counters = scheduler.metrics()["counters"]
+        assert (counters["timeouts"], counters["lease_expiries"]) == (1, 0)
+        if retries == 0:
+            assert job.state == TIMED_OUT and job.error == "attempt timed out"
+            with pytest.raises(StaleLeaseError):
+                scheduler.complete_lease(lease.id, {"key": job.result_key})
+            assert job.state == TIMED_OUT
+            return
+        assert job.state == QUEUED and counters["retries"] == 1  # backing off
+        assert scheduler.lease_next("beta") is None
+        clock.advance(0.5)
+        scheduler._reap_once()
+        assert scheduler.lease_next("beta").job is job and job.attempts == 2
+
     def test_stale_completion_still_stores_the_result(
         self, isolated_store, make_scheduler, echo_experiment
     ):
@@ -998,6 +1037,25 @@ class TestWorkerNode:
         assert node.failed == 1 and node.completed == 0
         record = client.job(job["id"])
         assert record["state"] == FAILED and "meltdown" in record["error"]
+
+    def test_an_attempt_past_its_timeout_is_abandoned(self, coordinator):
+        client, _scheduler, experiment = coordinator
+        job = client.submit(
+            {"experiment": experiment, "scale": 0.5, "timeout": 0.2, "retries": 0}
+        )
+
+        def slow(payload):
+            time.sleep(1.0)
+            return execute_payload(payload)
+
+        node = WorkerNode(
+            client.base_url, worker_id="node-c", poll=0.02, executor=slow
+        )
+        node.run(max_jobs=1)
+        assert node.abandoned == 1 and node.completed == 0
+        record = client.job(job["id"])
+        assert record["state"] == TIMED_OUT
+        assert client.metrics()["counters"]["timeouts"] == 1
 
     def test_tenant_option_flows_to_the_job(self, coordinator):
         client, _scheduler, experiment = coordinator

@@ -2,8 +2,9 @@
 
 A Hypothesis ``RuleBasedStateMachine`` drives one coordinator
 (``Scheduler(workers=0, local=False)``) through random interleavings of
-submissions, remote and local leases, heartbeats, completions,
-failures, clock advances, reaper ticks, vanishing remote workers,
+submissions (some with a per-job timeout), remote and local leases,
+heartbeats, completions, failures, clock advances, reaper ticks,
+remote attempts that outrun their timeout, vanishing remote workers,
 crashing local children and stale completions, all on a fake
 monotonic clock, and checks it step by step against a small reference
 model of the protocol:
@@ -11,6 +12,9 @@ model of the protocol:
 * every accepted job is in exactly one of queued, leased, delayed
   (backing off before a retry) or terminal;
 * ``attempts <= retries + 1`` and ``requeues <= max_requeues``;
+* a job ends in the model's terminal state (``done``, ``failed`` or
+  ``timed-out``), and after a reaper tick no remote lease has run past
+  its job's timeout: the tick times it out through the retry budget;
 * the queue's dispatch order is the model's: priority class first, the
   requeue lane first-in first-out, then tenant round-robin, whose bound
   (a waiting tenant is passed over at most ``tenants - 1`` times) is
@@ -49,6 +53,7 @@ from repro.service import (
     QUEUED,
     RUNNING,
     TERMINAL_STATES,
+    TIMED_OUT,
     Job,
     Lease,
     ResultStore,
@@ -58,6 +63,7 @@ from repro.service import (
 
 SCALES = (0.01, 0.02, 0.03, 0.04, 0.05)
 TENANTS = ("ann", "bob", "cy")
+TIMEOUTS = (None, 0.5, 2.0, 8.0)  # 8 s outlives a lease only with heartbeats
 WORKERS = ("w1", "w2", "w3")
 LEASE_TIMEOUT = 5.0
 MAX_REQUEUES = 2
@@ -84,6 +90,7 @@ class ModelLease:
     worker: str
     expires: float  # inf: a local lease, which has no deadline
     grant: int
+    granted_at: float
 
 
 def _backoff(attempts: int) -> float:
@@ -108,6 +115,9 @@ class ServiceProtocol(RuleBasedStateMachine):
         )
         # -- the reference model ------------------------------------
         self.state: Dict[str, str] = {}  # job id -> queued/leased/delayed/terminal
+        self.outcome: Dict[str, str] = {}  # job id -> its terminal state
+        self.timeout: Dict[str, Optional[float]] = {}
+        self.timeouts = 0
         self.jobs: Dict[str, Job] = {}  # job id -> the scheduler's Job
         self.live_by_key: Dict[str, str] = {}
         self.stored: Set[str] = set()
@@ -165,8 +175,9 @@ class ServiceProtocol(RuleBasedStateMachine):
             assert self.passed_over[key] <= len(TENANTS) - 1, (name, self.passed_over)
         return tenants[tenant].popleft()[1]
 
-    def _finish(self, job_id: str) -> None:
+    def _finish(self, job_id: str, outcome: str) -> None:
         self.state[job_id] = "terminal"
+        self.outcome[job_id] = outcome
         key = self.jobs[job_id].result_key
         if self.live_by_key.get(key) == job_id:
             del self.live_by_key[key]
@@ -190,10 +201,20 @@ class ServiceProtocol(RuleBasedStateMachine):
         self.attempts[job.id] -= 1  # the lost attempt never really ran
         self.requeues[job.id] += 1
         if self.requeues[job.id] > MAX_REQUEUES:  # lost too often
-            assert job.state == FAILED
-            self._finish(job.id)
+            self._finish(job.id, FAILED)
         else:
             self._push_requeued(job)
+
+    def _retry_or_finish(self, lease_id: str, outcome: str) -> None:
+        """A failed or timed-out attempt: a delayed retry, or the end."""
+        job = self.jobs[self.leases.pop(lease_id).job_id]
+        self.stale.append(lease_id)
+        if self.attempts[job.id] > job.retries:
+            self._finish(job.id, outcome)
+        else:
+            ready = self.clock.now() + _backoff(self.attempts[job.id])
+            self.delayed.append((ready, next(self.sequence), job.id))
+            self.state[job.id] = "delayed"
 
     # -- rules --------------------------------------------------------
 
@@ -202,8 +223,9 @@ class ServiceProtocol(RuleBasedStateMachine):
         tenant=st.sampled_from(TENANTS),
         priority=st.integers(0, 1),
         retries=st.integers(0, 2),
+        timeout=st.sampled_from(TIMEOUTS),
     )
-    def submit(self, scale, tenant, priority, retries):
+    def submit(self, scale, tenant, priority, retries, timeout):
         payload = {
             "experiment": "table1",
             "scale": scale,
@@ -211,6 +233,8 @@ class ServiceProtocol(RuleBasedStateMachine):
             "priority": priority,
             "retries": retries,
         }
+        if timeout is not None:
+            payload["timeout"] = timeout
         key = parse_submission(payload)[0].result_key()
         live = self.live_by_key.get(key)
         if live is None and key not in self.stored and self._queue_len() >= MAX_QUEUE_DEPTH:
@@ -224,9 +248,11 @@ class ServiceProtocol(RuleBasedStateMachine):
         assert not deduped and job.id not in self.jobs
         self.jobs[job.id] = job
         self.attempts[job.id] = self.requeues[job.id] = 0
+        self.timeout[job.id] = timeout
+        assert job.timeout == timeout
         if key in self.stored:
             assert job.state == DONE and job.cached
-            self.state[job.id] = "terminal"
+            self._finish(job.id, DONE)
             return
         self.live_by_key[key] = job.id
         self._push_fresh(job)
@@ -243,7 +269,7 @@ class ServiceProtocol(RuleBasedStateMachine):
     def _lease(self, worker: str, expires: bool) -> None:
         expected = self._pop_model()
         while expected is not None and self.jobs[expected].result_key in self.stored:
-            self._finish(expected)  # the result appeared while it sat queued
+            self._finish(expected, DONE)  # the result appeared while it sat queued
             expected = self._pop_model()
         lease = self.scheduler.lease_next(worker, expires=expires)
         if expected is None:
@@ -255,12 +281,16 @@ class ServiceProtocol(RuleBasedStateMachine):
         self.attempts[expected] += 1
         self.granted[lease.id] = lease
         deadline = self.clock.now() + LEASE_TIMEOUT if expires else math.inf
-        self.leases[lease.id] = ModelLease(expected, worker, deadline, next(self.grants))
+        self.leases[lease.id] = ModelLease(
+            expected, worker, deadline, next(self.grants), self.clock.now()
+        )
 
     @precondition(lambda self: self._held())
     @rule(pick=st.integers(0, 99))
     def heartbeat(self, pick):
-        lease_id = self._held()[pick % len(self._held())]
+        self._heartbeat(self._held()[pick % len(self._held())])
+
+    def _heartbeat(self, lease_id: str) -> None:
         if self._live(lease_id):
             self.scheduler.heartbeat_lease(lease_id)
             lease = self.leases[lease_id]
@@ -286,7 +316,7 @@ class ServiceProtocol(RuleBasedStateMachine):
         del self.leases[lease_id]
         self.stale.append(lease_id)
         self.stored.add(job.result_key)
-        self._finish(job.id)
+        self._finish(job.id, DONE)
 
     @precondition(lambda self: self._held())
     @rule(pick=st.integers(0, 99))
@@ -298,15 +328,7 @@ class ServiceProtocol(RuleBasedStateMachine):
                 self.scheduler.fail_lease(lease_id, "boom")
             return
         self.scheduler.fail_lease(lease_id, "boom")
-        del self.leases[lease_id]
-        self.stale.append(lease_id)
-        if self.attempts[job.id] > job.retries:
-            assert job.state == FAILED
-            self._finish(job.id)
-        else:
-            ready = self.clock.now() + _backoff(self.attempts[job.id])
-            self.delayed.append((ready, next(self.sequence), job.id))
-            self.state[job.id] = "delayed"
+        self._retry_or_finish(lease_id, FAILED)
 
     @rule(seconds=st.sampled_from((0.25, 0.5, 1.0, 2.0, 3.0, 6.0)))
     def advance_clock(self, seconds):
@@ -314,17 +336,45 @@ class ServiceProtocol(RuleBasedStateMachine):
 
     @rule()
     def reap(self):
+        """Expired leases are lost first; of the live remote ones, those
+        past their job's timeout then go through the retry budget."""
         now = self.clock.now()
         expired = sorted(
             (lease.grant, lid) for lid, lease in self.leases.items() if lease.expires <= now
         )
+        overtime = sorted(
+            (lease.grant, lid) for lid, lease in self.leases.items()
+            if now < lease.expires < math.inf  # live and remote
+            and now - lease.granted_at > (self.timeout[lease.job_id] or math.inf)
+        )
         self.scheduler._reap_once()
         for _grant, lease_id in expired:
             self._lose(lease_id)
+        for _grant, lease_id in overtime:
+            self.abandoned.discard(lease_id)
+            self.timeouts += 1
+            self._retry_or_finish(lease_id, TIMED_OUT)
+        for lease in self.scheduler.leases.active():
+            if lease.timeout is not None and lease.job.timeout is not None:
+                assert now - lease.granted_monotonic <= lease.job.timeout
         for ready, seq, job_id in sorted(self.delayed):
             if ready <= now:
                 self.delayed.remove((ready, seq, job_id))
                 self._push_fresh(self.jobs[job_id])
+
+    @precondition(lambda self: self._held(local=False))
+    @rule(pick=st.integers(0, 99))
+    def long_attempt(self, pick):
+        """A remote worker heartbeats every second while its attempt runs
+        past its job's timeout (1 s without one), then the reaper ticks."""
+        remote = self._held(local=False)
+        lease_id = remote[pick % len(remote)]
+        lease = self.leases[lease_id]
+        timeout = self.timeout[lease.job_id] or 1.0
+        while self._live(lease_id) and self.clock.now() - lease.granted_at <= timeout:
+            self._heartbeat(lease_id)
+            self.clock.elapse(1.0)
+        self.reap()
 
     @precondition(lambda self: self._held(local=False))
     @rule(pick=st.integers(0, 99))
@@ -383,13 +433,17 @@ class ServiceProtocol(RuleBasedStateMachine):
             assert (job.attempts, job.requeues) == (self.attempts[job.id], self.requeues[job.id])
             expected = self.state[job.id]
             if expected == "terminal":
-                assert job.state in TERMINAL_STATES
+                assert job.state == self.outcome[job.id]
             elif expected == "leased":
                 assert job.state == RUNNING and job.id in leased
             elif expected == "delayed":
                 assert job.state == QUEUED and job.id in delayed
             else:
                 assert job.state == QUEUED and job.id in queued
+
+    @invariant()
+    def timeouts_are_counted(self):
+        assert self.scheduler.metrics()["counters"]["timeouts"] == self.timeouts
 
     @invariant()
     def budgets_hold(self):
